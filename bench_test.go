@@ -20,8 +20,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/datacenter"
-	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -168,59 +166,6 @@ func BenchmarkFigureMigrate(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(on-off, "p99-tail-lift")
-}
-
-// ---------------------------------------------------------------- baselines
-
-// BenchmarkMachineInstructions is the simulator's raw speed baseline:
-// simulated instructions retired per wall-clock second by one core
-// executing a plain binary under the default engine (superblock).
-// scripts/bench.sh records it in BENCH_machine.json so regressions in the
-// engine's hot paths show up as a number, not a feeling, and
-// scripts/bench_check.sh gates CI on it.
-func BenchmarkMachineInstructions(b *testing.B) {
-	bin, err := workload.MustByName("libquantum").CompilePlain()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := machine.New(machine.Config{Cores: 1})
-	p, err := m.Attach(0, bin, machine.ProcessConfig{Restart: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := p.Counters().Insts
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.RunSeconds(0.25)
-	}
-	insts := p.Counters().Insts - start
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/sec")
-}
-
-// BenchmarkFleetQuanta is the cluster-side capacity baseline: scheduling
-// quanta executed across every simulated server per wall-clock second, on
-// a small SystemNone fleet (no PC3D search, so the number tracks the
-// simulation plane itself). Paired with BenchmarkMachineInstructions in
-// BENCH_machine.json.
-func BenchmarkFleetQuanta(b *testing.B) {
-	mix, _ := datacenter.MixByName("WL1")
-	var quanta uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := fleet.New(fleet.Config{
-			Servers: 8, Instances: 4, Webservice: "web-search", Mix: mix,
-			System: fleet.SystemNone, Policy: fleet.RoundRobin{}, Seed: 1,
-			SoloSeconds: 0.25, SettleSeconds: 0.5, MeasureSeconds: 0.5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.Run(); err != nil {
-			b.Fatal(err)
-		}
-		quanta += f.Telemetry().CounterValue("machine", "quanta_total")
-	}
-	b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "fleet-quanta/sec")
 }
 
 // ---------------------------------------------------------------- ablations

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/contend"
 	"repro/internal/datacenter"
 	"repro/internal/faults"
 	"repro/internal/fleet"
@@ -34,168 +33,116 @@ import (
 )
 
 func main() {
+	// Flags bind straight into the configuration they set; the chaos,
+	// migration and SLO blocks attach to cfg only when switched on.
 	var (
-		servers    = flag.Int("servers", 16, "fleet size")
-		instances  = flag.Int("instances", 0, "batch instances to place (0 = one per server)")
-		webservice = flag.String("webservice", "web-search", "latency-sensitive app on every server")
-		mixName    = flag.String("mix", "WL1", "batch mix: WL1|WL2|WL3")
-		policyName = flag.String("policy", "least-loaded", "placement policy: round-robin|least-loaded|contention-aware")
-		systemName = flag.String("system", "pc3d", "mitigation system: none|pc3d|reqos")
-		target     = flag.Float64("target", 0.95, "QoS target")
-		seed       = flag.Int64("seed", 1, "fleet seed (fixed seed = bit-identical metrics at any -workers)")
-		engine     = flag.String("engine", machine.DefaultEngine, "execution engine: superblock|interp (bit-identical)")
-		workers    = flag.Int("workers", 0, "max concurrent server simulations (0 = NumCPU)")
-		solo       = flag.Float64("solo", 1, "solo calibration seconds per app")
-		settle     = flag.Float64("settle", 5.5, "settle seconds before measurement")
-		measure    = flag.Float64("measure", 1, "steady-state measurement seconds")
-		diurnal    = flag.Float64("diurnal", 0, "diurnal load period in seconds (0 = saturated webservices)")
-		loadLow    = flag.Float64("load-low", 0.25, "diurnal trough load fraction")
-		loadHigh   = flag.Float64("load-high", 0.95, "diurnal peak load fraction")
-		spread     = flag.Float64("phase-spread", 0, "total diurnal phase offset fanned across the fleet, seconds")
-		maxSites   = flag.Int("max-sites", 0, "cap PC3D's search (0 = full search)")
-
-		chaos       = flag.Bool("chaos", false, "enable fault injection (a moderate preset unless rates are given)")
-		faultSeed   = flag.Int64("fault-seed", 0, "fault-schedule seed (0 = the fleet seed)")
-		crashRate   = flag.Float64("crash-rate", 0, "per-server whole-machine crash probability")
-		restart     = flag.Float64("restart-delay", 0.5, "scheduler re-placement delay after a server crash, seconds")
-		compileFail = flag.Float64("compile-fail", 0, "per-compile-job failure probability in the protean runtime")
-		runtimeMTTF = flag.Float64("runtime-mttf", 0, "protean runtime mean time to failure, seconds (0 = never)")
-		qosDropout  = flag.Float64("qos-dropout", 0, "probability each QoS sensor window goes dark")
-		dropoutSecs = flag.Float64("dropout-seconds", 0.2, "QoS sensor dropout window length, seconds")
-
-		detachFail    = flag.Float64("move-detach-fail", 0, "per-move probability a migration fails before the source detaches")
-		landFail      = flag.Float64("move-land-fail", 0, "per-attempt probability a migration landing fails")
-		moveStall     = flag.Float64("move-stall-max", 0, "max extra blackout stall per move, seconds (uniform)")
-		sampleCorrupt = flag.Float64("sample-corrupt", 0, "per-(server,epoch) probability a detector sample arrives corrupted")
-		sampleStale   = flag.Float64("sample-stale", 0, "per-(server,epoch) probability a detector sample replays stale")
-
-		migrate       = flag.Bool("migrate", false, "enable contention-detection → live batch migration")
-		contendWindow = flag.Float64("contend-window", 0.5, "migration decision-epoch length, seconds")
-		contendQ      = flag.Float64("contend-q", 0.75, "detector quantile for the contention threshold")
-		migrateBudget = flag.Int("migrate-budget", 1, "max migrations per decision epoch")
-		blackout      = flag.Float64("blackout", 0.25, "migration blackout (modeled cost), seconds")
-		landAttempts  = flag.Int("migrate-retries", 0, "max landing attempts per move, planned destination included (0 = default 3)")
-		retryBackoff  = flag.Float64("retry-backoff", 0, "extra blackout before each retry landing, seconds (0 = blackout/2)")
-		rollbackPen   = flag.Float64("rollback-penalty", 0, "extra blackout charged when a move rolls back, seconds (0 = blackout)")
-		breakerK      = flag.Int("breaker-k", 0, "consecutive failed moves that trip the migration breaker (0 = default 3)")
-		breakerCool   = flag.Int("breaker-cooldown", 0, "epochs the tripped breaker stays open before a half-open probe (0 = default 8)")
-		contendPath   = flag.String("contend-out", "", "write the final contention/migration status as JSON to this file (- = stdout)")
-		auditPath     = flag.String("audit-out", "", "write the conservation auditor's report as JSON to this file (- = stdout)")
-
-		sloOn       = flag.Bool("slo", false, "enable the SLO engine: multi-window burn-rate alerts over a deterministic time-series store")
-		sloWindow   = flag.Float64("slo-window", 0, "SLO evaluation-epoch length, seconds (0 = 0.5, or the -contend-window with -migrate)")
-		sloBoost    = flag.Int("slo-boost", 0, "extra per-epoch migration budget while the QoS burn alert fires (needs -migrate)")
-		alertsPath  = flag.String("alerts-out", "", "write the alert log (every SLO lifecycle transition) as JSON to this file (- = stdout)")
-		tsdbPath    = flag.String("tsdb-out", "", "write the full time-series store as JSON to this file (- = stdout)")
-		postmortDir = flag.String("postmortem-dir", "", "write each frozen postmortem bundle as JSON into this directory")
-
-		metricsPath = flag.String("metrics", "", "write the cluster telemetry rollup in Prometheus text format to this file (- = stdout)")
-		tracePath   = flag.String("trace", "", "write the merged event trace as JSONL to this file (- = stdout)")
-		spansPath   = flag.String("spans", "", "write the merged spans + events as Chrome trace-event JSON (Perfetto-loadable) to this file (- = stdout)")
-		profilePath = flag.String("profile", "", "write the fleet deep profile as folded stacks (flamegraph/speedscope input) to this file (- = stdout)")
-		serveAddr   = flag.String("serve", "", "serve /metrics, /trace, /profile, /slo, /alerts, /postmortem, /healthz (plus /debug/pprof) on this address during and after the run, e.g. :8080")
-		scrapeevery = flag.Int("scrape-interval", 0, "live-publisher snapshot deposit interval in scheduler quanta for -serve (0 = default 64)")
+		cfg fleet.Config
+		ch  faults.Chaos
+		mg  fleet.MigrationConfig
+		sc  fleet.SLOConfig
 	)
+	flag.IntVar(&cfg.Servers, "servers", 16, "fleet size")
+	flag.IntVar(&cfg.Instances, "instances", 0, "batch instances to place (0 = one per server)")
+	flag.StringVar(&cfg.Webservice, "webservice", "web-search", "latency-sensitive app on every server")
+	mixName := flag.String("mix", "WL1", "batch mix: WL1|WL2|WL3")
+	policyName := flag.String("policy", "least-loaded", "placement policy: round-robin|least-loaded|contention-aware")
+	systemName := flag.String("system", "pc3d", "mitigation system: none|pc3d|reqos")
+	flag.Float64Var(&cfg.Target, "target", 0.95, "QoS target")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "fleet seed (fixed seed = bit-identical metrics at any -workers)")
+	flag.StringVar(&cfg.Engine, "engine", machine.DefaultEngine, "execution engine: superblock|interp (bit-identical)")
+	flag.IntVar(&cfg.Workers, "workers", 0, "max concurrent server simulations (0 = NumCPU)")
+	flag.Float64Var(&cfg.SoloSeconds, "solo", 1, "solo calibration seconds per app")
+	flag.Float64Var(&cfg.SettleSeconds, "settle", 5.5, "settle seconds before measurement")
+	flag.Float64Var(&cfg.MeasureSeconds, "measure", 1, "steady-state measurement seconds")
+	var diurnal loadgen.Diurnal
+	flag.Float64Var(&diurnal.Period, "diurnal", 0, "diurnal load period in seconds (0 = saturated webservices)")
+	flag.Float64Var(&diurnal.Low, "load-low", 0.25, "diurnal trough load fraction")
+	flag.Float64Var(&diurnal.High, "load-high", 0.95, "diurnal peak load fraction")
+	flag.Float64Var(&cfg.PhaseSpreadSeconds, "phase-spread", 0, "total diurnal phase offset fanned across the fleet, seconds")
+	flag.IntVar(&cfg.MaxSites, "max-sites", 0, "cap PC3D's search (0 = full search)")
+
+	chaos := flag.Bool("chaos", false, "enable fault injection (a moderate preset unless rates are given)")
+	flag.Int64Var(&ch.Seed, "fault-seed", 0, "fault-schedule seed (0 = the fleet seed)")
+	flag.Float64Var(&ch.ServerCrashProb, "crash-rate", 0, "per-server whole-machine crash probability")
+	flag.Float64Var(&ch.RestartDelaySeconds, "restart-delay", 0.5, "scheduler re-placement delay after a server crash, seconds")
+	flag.Float64Var(&ch.CompileFailProb, "compile-fail", 0, "per-compile-job failure probability in the protean runtime")
+	flag.Float64Var(&ch.RuntimeCrashMTTFSeconds, "runtime-mttf", 0, "protean runtime mean time to failure, seconds (0 = never)")
+	flag.Float64Var(&ch.QoSDropoutProb, "qos-dropout", 0, "probability each QoS sensor window goes dark")
+	flag.Float64Var(&ch.QoSDropoutSeconds, "dropout-seconds", 0.2, "QoS sensor dropout window length, seconds")
+
+	flag.Float64Var(&ch.MoveDetachFailProb, "move-detach-fail", 0, "per-move probability a migration fails before the source detaches")
+	flag.Float64Var(&ch.MoveLandFailProb, "move-land-fail", 0, "per-attempt probability a migration landing fails")
+	flag.Float64Var(&ch.MoveStallMaxSeconds, "move-stall-max", 0, "max extra blackout stall per move, seconds (uniform)")
+	flag.Float64Var(&ch.SampleCorruptProb, "sample-corrupt", 0, "per-(server,epoch) probability a detector sample arrives corrupted")
+	flag.Float64Var(&ch.SampleStaleProb, "sample-stale", 0, "per-(server,epoch) probability a detector sample replays stale")
+
+	migrate := flag.Bool("migrate", false, "enable contention-detection → live batch migration")
+	flag.Float64Var(&mg.WindowSeconds, "contend-window", 0.5, "migration decision-epoch length, seconds")
+	flag.Float64Var(&mg.Detector.Quantile, "contend-q", 0.75, "detector quantile for the contention threshold")
+	flag.IntVar(&mg.BudgetPerEpoch, "migrate-budget", 1, "max migrations per decision epoch")
+	flag.Float64Var(&mg.BlackoutSeconds, "blackout", 0.25, "migration blackout (modeled cost), seconds")
+	flag.IntVar(&mg.MaxLandAttempts, "migrate-retries", 0, "max landing attempts per move, planned destination included (0 = default 3)")
+	flag.Float64Var(&mg.RetryBackoffSeconds, "retry-backoff", 0, "extra blackout before each retry landing, seconds (0 = blackout/2)")
+	flag.Float64Var(&mg.RollbackPenaltySeconds, "rollback-penalty", 0, "extra blackout charged when a move rolls back, seconds (0 = blackout)")
+	flag.IntVar(&mg.Breaker.FailureThreshold, "breaker-k", 0, "consecutive failed moves that trip the migration breaker (0 = default 3)")
+	flag.IntVar(&mg.Breaker.CooldownEpochs, "breaker-cooldown", 0, "epochs the tripped breaker stays open before a half-open probe (0 = default 8)")
+	contendPath := flag.String("contend-out", "", "write the final contention/migration status as JSON to this file (- = stdout)")
+	auditPath := flag.String("audit-out", "", "write the conservation auditor's report as JSON to this file (- = stdout)")
+
+	sloOn := flag.Bool("slo", false, "enable the SLO engine: multi-window burn-rate alerts over a deterministic time-series store")
+	flag.Float64Var(&sc.WindowSeconds, "slo-window", 0, "SLO evaluation-epoch length, seconds (0 = 0.5, or the -contend-window with -migrate)")
+	flag.IntVar(&sc.BoostBudget, "slo-boost", 0, "extra per-epoch migration budget while the QoS burn alert fires (needs -migrate)")
+	alertsPath := flag.String("alerts-out", "", "write the alert log (every SLO lifecycle transition) as JSON to this file (- = stdout)")
+	tsdbPath := flag.String("tsdb-out", "", "write the full time-series store as JSON to this file (- = stdout)")
+	postmortDir := flag.String("postmortem-dir", "", "write each frozen postmortem bundle as JSON into this directory")
+
+	metricsPath := flag.String("metrics", "", "write the cluster telemetry rollup in Prometheus text format to this file (- = stdout)")
+	tracePath := flag.String("trace", "", "write the merged event trace as JSONL to this file (- = stdout)")
+	spansPath := flag.String("spans", "", "write the merged spans + events as Chrome trace-event JSON (Perfetto-loadable) to this file (- = stdout)")
+	profilePath := flag.String("profile", "", "write the fleet deep profile as folded stacks (flamegraph/speedscope input) to this file (- = stdout)")
+	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile, /slo, /alerts, /postmortem, /healthz (plus /debug/pprof) on this address during and after the run, e.g. :8080")
+	flag.IntVar(&cfg.ScrapeIntervalQuanta, "scrape-interval", 0, "live-publisher snapshot deposit interval in scheduler quanta for -serve (0 = default 64)")
 	flag.Parse()
 
-	mix, ok := datacenter.MixByName(*mixName)
-	if !ok {
+	var ok bool
+	var err error
+	if cfg.Mix, ok = datacenter.MixByName(*mixName); !ok {
 		fail("unknown mix %q (try WL1, WL2, WL3)", *mixName)
 	}
-	policy, err := fleet.PolicyByName(*policyName)
-	if err != nil {
+	if cfg.Policy, err = fleet.PolicyByName(*policyName); err != nil {
 		failErr(err)
 	}
-	system, err := fleet.SystemByName(*systemName)
-	if err != nil {
+	if cfg.System, err = fleet.SystemByName(*systemName); err != nil {
 		failErr(err)
 	}
-	var trace loadgen.Trace
-	if *diurnal > 0 {
-		trace = loadgen.Diurnal{Period: *diurnal, Low: *loadLow, High: *loadHigh}
+	if diurnal.Period > 0 {
+		cfg.Trace = diurnal
 	}
-
-	var ch *faults.Chaos
-	migrationFaults := *detachFail > 0 || *landFail > 0 || *moveStall > 0 ||
-		*sampleCorrupt > 0 || *sampleStale > 0
-	if *chaos || *crashRate > 0 || *compileFail > 0 || *runtimeMTTF > 0 || *qosDropout > 0 || migrationFaults {
-		ch = &faults.Chaos{
-			Seed:                    *faultSeed,
-			ServerCrashProb:         *crashRate,
-			RestartDelaySeconds:     *restart,
-			CompileFailProb:         *compileFail,
-			RuntimeCrashMTTFSeconds: *runtimeMTTF,
-			QoSDropoutProb:          *qosDropout,
-			QoSDropoutSeconds:       *dropoutSecs,
-			MoveDetachFailProb:      *detachFail,
-			MoveLandFailProb:        *landFail,
-			MoveStallMaxSeconds:     *moveStall,
-			SampleCorruptProb:       *sampleCorrupt,
-			SampleStaleProb:         *sampleStale,
-		}
-		if *chaos && *crashRate == 0 && *compileFail == 0 && *runtimeMTTF == 0 && *qosDropout == 0 && !migrationFaults {
+	if *chaos || ch.Enabled() {
+		if !ch.Enabled() {
 			// Bare -chaos: a moderate every-fault-class preset.
 			ch.ServerCrashProb = 0.3
 			ch.CompileFailProb = 0.15
 			ch.RuntimeCrashMTTFSeconds = 10
 			ch.QoSDropoutProb = 0.15
 		}
+		cfg.Chaos = &ch
 	}
-
-	var mg *fleet.MigrationConfig
 	if *migrate {
-		mg = &fleet.MigrationConfig{
-			WindowSeconds:          *contendWindow,
-			BlackoutSeconds:        *blackout,
-			BudgetPerEpoch:         *migrateBudget,
-			MaxLandAttempts:        *landAttempts,
-			RetryBackoffSeconds:    *retryBackoff,
-			RollbackPenaltySeconds: *rollbackPen,
-			Detector:               contend.Config{Quantile: *contendQ},
-			Breaker: contend.BreakerConfig{
-				FailureThreshold: *breakerK,
-				CooldownEpochs:   *breakerCool,
-			},
-		}
+		cfg.Migration = &mg
 	}
-
-	var sc *fleet.SLOConfig
 	if *sloOn || *alertsPath != "" || *tsdbPath != "" || *postmortDir != "" {
-		sc = &fleet.SLOConfig{
-			WindowSeconds: *sloWindow,
-			BoostBudget:   *sloBoost,
-		}
+		cfg.SLO = &sc
 	}
 
-	f, err := fleet.New(fleet.Config{
-		Servers:              *servers,
-		Instances:            *instances,
-		Webservice:           *webservice,
-		Mix:                  mix,
-		System:               system,
-		Target:               *target,
-		Policy:               policy,
-		Seed:                 *seed,
-		Engine:               *engine,
-		Workers:              *workers,
-		SoloSeconds:          *solo,
-		SettleSeconds:        *settle,
-		MeasureSeconds:       *measure,
-		Trace:                trace,
-		PhaseSpreadSeconds:   *spread,
-		MaxSites:             *maxSites,
-		Chaos:                ch,
-		Migration:            mg,
-		SLO:                  sc,
-		ScrapeIntervalQuanta: *scrapeevery,
-	})
+	f, err := fleet.New(cfg)
 	if err != nil {
 		failErr(err)
 	}
 
-	cfg := f.Config()
+	cfg = f.Config()
 	fmt.Printf("fleet: %d servers, %d %s instances, webservice %s, system %s, policy %s, %d workers\n",
-		cfg.Servers, cfg.Instances, mix.Name, cfg.Webservice, cfg.System, cfg.Policy.Name(), cfg.Workers)
+		cfg.Servers, cfg.Instances, cfg.Mix.Name, cfg.Webservice, cfg.System, cfg.Policy.Name(), cfg.Workers)
 	if *serveAddr != "" {
 		// The handler must exist before Run so servers publish live
 		// snapshots; scraping works throughout the run and afterwards.
@@ -223,7 +170,7 @@ func main() {
 	fmt.Printf("batch throughput:        %.2f dedicated-server units\n", m.BatchUnits)
 	fmt.Printf("extra servers avoided:   %d (no-co-location equivalent)\n", m.ExtraServersEquivalent)
 	fmt.Printf("energy efficiency:       %.2fx vs no-co-location fleet\n", m.EnergyEfficiencyRatio)
-	if ch != nil {
+	if cfg.Chaos != nil {
 		fmt.Printf("\nfault injection:\n")
 		fmt.Printf("  availability:          %.3f mean up-fraction of the measurement window\n", m.Availability)
 		fmt.Printf("  server crashes:        %d (%d instances re-placed, %d unplaced)\n",
@@ -236,7 +183,7 @@ func main() {
 			m.DegradedUtilization.Mean, m.DegradedUtilization.P50, m.DegradedUtilization.Min)
 	}
 
-	if mg != nil {
+	if cfg.Migration != nil {
 		fmt.Printf("\nlive migration:\n")
 		fmt.Printf("  migrations:            %d (%d batch quanta lost to blackouts)\n", m.Migrations, m.MigrationQuantaLost)
 		fmt.Printf("  contended servers:     %d at the last decision epoch\n", m.ContendedServers)
@@ -247,14 +194,14 @@ func main() {
 		fmt.Printf("  audit violations:      %d (conservation, occupancy, monotonicity, accounting)\n", m.AuditViolations)
 	}
 
-	if sc != nil {
+	if cfg.SLO != nil {
 		fmt.Printf("\nSLO engine:\n")
 		fmt.Printf("  alerts:                %d fired, %d resolved\n", m.AlertsFired, m.AlertsResolved)
 		fmt.Printf("  postmortems:           %d bundles frozen\n", m.Postmortems)
 	}
 
 	fmt.Printf("\nper-app mean utilization:\n")
-	for _, app := range mix.Apps {
+	for _, app := range cfg.Mix.Apps {
 		if u, ok := m.PerApp[app]; ok {
 			fmt.Printf("  %-20s %.3f\n", app, u)
 		}
@@ -262,67 +209,26 @@ func main() {
 	fmt.Printf("\n[%d servers simulated in %.1fs]\n", m.Servers, time.Since(start).Seconds())
 
 	tel := f.Telemetry()
-	if *metricsPath != "" {
-		if err := writeExport(*metricsPath, tel.WritePrometheus); err != nil {
-			failErr(err)
-		}
+	export := func(name string) func(io.Writer) error {
+		return func(w io.Writer) error { return f.WriteExport(name, w) }
 	}
-	if *tracePath != "" {
-		if err := writeExport(*tracePath, tel.WriteJSONL); err != nil {
-			failErr(err)
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{*metricsPath, tel.WritePrometheus},
+		{*tracePath, tel.WriteJSONL},
+		{*spansPath, tel.WriteChromeTrace},
+		{*profilePath, f.WriteProfile},
+		{*contendPath, export("contend")},
+		{*auditPath, export("audit")},
+		{*alertsPath, export("alerts")},
+		{*tsdbPath, f.WriteTSDB},
+	} {
+		if out.path == "" {
+			continue
 		}
-	}
-	if *spansPath != "" {
-		if err := writeExport(*spansPath, tel.WriteChromeTrace); err != nil {
-			failErr(err)
-		}
-	}
-	if *profilePath != "" {
-		if err := writeExport(*profilePath, f.WriteProfile); err != nil {
-			failErr(err)
-		}
-	}
-	if *contendPath != "" {
-		err := writeExport(*contendPath, func(w io.Writer) error {
-			st := f.ContendStatus()
-			if st == nil {
-				_, err := io.WriteString(w, "{\"epoch\": 0}\n")
-				return err
-			}
-			return st.WriteJSON(w)
-		})
-		if err != nil {
-			failErr(err)
-		}
-	}
-	if *auditPath != "" {
-		err := writeExport(*auditPath, func(w io.Writer) error {
-			rep := f.AuditReport()
-			if rep == nil {
-				_, err := io.WriteString(w, "{\"epochs_checked\": 0}\n")
-				return err
-			}
-			return rep.WriteJSON(w)
-		})
-		if err != nil {
-			failErr(err)
-		}
-	}
-	if *alertsPath != "" {
-		err := writeExport(*alertsPath, func(w io.Writer) error {
-			if s := f.AlertLogJSON(); s != "" {
-				_, err := io.WriteString(w, s)
-				return err
-			}
-			_, err := io.WriteString(w, "{\"fired\": 0}\n")
-			return err
-		})
-		if err != nil {
-			failErr(err)
-		}
-	}
-	if *tsdbPath != "" {
-		if err := writeExport(*tsdbPath, f.WriteTSDB); err != nil {
+		if err := writeExport(out.path, out.write); err != nil {
 			failErr(err)
 		}
 	}

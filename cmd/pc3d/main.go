@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/fleet"
 	"repro/internal/harness"
 )
 
@@ -28,16 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var sys harness.System
-	switch *system {
-	case "pc3d":
-		sys = harness.SystemPC3D
-	case "reqos":
-		sys = harness.SystemReQoS
-	case "none":
-		sys = harness.SystemNone
-	default:
-		fmt.Fprintf(os.Stderr, "pc3d: unknown system %q\n", *system)
+	sys, err := fleet.SystemByName(*system)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pc3d: %v\n", err)
 		os.Exit(2)
 	}
 

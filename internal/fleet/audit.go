@@ -84,13 +84,6 @@ type AuditReport struct {
 // Clean reports a run with no invariant violations.
 func (r *AuditReport) Clean() bool { return len(r.Violations) == 0 }
 
-func (r *AuditReport) clone() *AuditReport {
-	c := *r
-	c.Epochs = append([]AuditEpoch(nil), r.Epochs...)
-	c.Violations = append([]AuditViolation(nil), r.Violations...)
-	return &c
-}
-
 // WriteJSON renders the report as deterministic JSON: fixed field order,
 // canonical float formatting, no reflection.
 func (r *AuditReport) WriteJSON(w io.Writer) error {
@@ -123,25 +116,6 @@ func (r *AuditReport) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// publishAudit deposits a report snapshot for /audit and AuditReport.
-func (f *Fleet) publishAudit(r *AuditReport) {
-	f.contendMu.Lock()
-	f.auditStat = r
-	f.contendMu.Unlock()
-}
-
-// AuditReport returns the conservation auditor's latest published report
-// (nil before the first decision epoch, or when migration is off). Safe to
-// call from any goroutine; the returned copy is the caller's.
-func (f *Fleet) AuditReport() *AuditReport {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	if f.auditStat == nil {
-		return nil
-	}
-	return f.auditStat.clone()
-}
-
 // auditor accumulates the report across epoch barriers. All state is
 // touched only in the single-threaded coordinator sections.
 type auditor struct {
@@ -172,6 +146,14 @@ func newAuditor(f *Fleet, sims []*serverSim) *auditor {
 		}
 	}
 	return a
+}
+
+// snapshot returns the report so far for publication. The epoch and
+// violation logs are append-only, so the copy's slices stay valid prefixes
+// and are never written again.
+func (a *auditor) snapshot() *AuditReport {
+	rep := a.rep
+	return &rep
 }
 
 // recordMove folds one move record into the audit expectations.

@@ -20,107 +20,93 @@ type arrival struct {
 	rollback bool
 }
 
-// serverPlan is one server's precomputed fault schedule. Computing the
-// whole plan up front — before any server simulates — keeps the chaos
-// layer inside the determinism contract: every schedule is a pure function
-// of (chaos seed, server index), and the cluster scheduler's re-placement
-// decisions depend only on the placement and the plan, never on simulation
-// results or worker interleaving.
-type serverPlan struct {
-	// crashAtSeconds is when the whole server fails (+Inf = never).
-	crashAtSeconds float64
-	// arrivals are re-placed batch instances landing on this server.
-	arrivals []arrival
-}
-
-func (p serverPlan) crashes() bool { return !math.IsInf(p.crashAtSeconds, 1) }
-
-// chaosPlan is the cluster-wide fault schedule plus scheduler reactions.
+// chaosPlan is the cluster-wide crash schedule plus the tally of the
+// scheduler's reactions to it. The schedule is drawn up front — before any
+// server simulates — as a pure function of (chaos seed, server index); the
+// reactions are decided by replaceDead in the coordinator's single-threaded
+// barrier sections. Neither depends on worker interleaving.
 type chaosPlan struct {
-	plans        []serverPlan
+	// crashAt is when each server fails as a whole (+Inf = never).
+	crashAt []float64
+	// settled marks crashed servers whose instance's fate is decided.
+	settled      []bool
 	crashes      int
 	replacements int
 	unplaced     int
 }
 
-// trivialPlan returns an all-healthy plan (chaos disabled).
-func trivialPlan(n int) chaosPlan {
-	cp := chaosPlan{plans: make([]serverPlan, n)}
-	for i := range cp.plans {
-		cp.plans[i].crashAtSeconds = math.Inf(1)
+// buildChaosPlan draws the server-crash schedule.
+func (f *Fleet) buildChaosPlan() chaosPlan {
+	n, ch := f.cfg.Servers, f.cfg.Chaos
+	cp := chaosPlan{crashAt: make([]float64, n), settled: make([]bool, n)}
+	for i := range cp.crashAt {
+		cp.crashAt[i] = math.Inf(1)
+		if ch == nil {
+			continue
+		}
+		if at, crashed := ch.ServerCrashAt(i, f.cfg.horizon()); crashed {
+			cp.crashAt[i] = at
+			cp.crashes++
+		}
 	}
 	return cp
 }
 
-// buildChaosPlan draws server-crash schedules and simulates the cluster
-// scheduler's reaction: each crashed server's batch instance is re-placed,
-// RestartDelaySeconds after the crash, onto the lowest-index surviving
-// batch-free server. Victims are processed in (crash time, index) order —
-// the order a real scheduler would observe the failures.
-func (f *Fleet) buildChaosPlan(assignment []string) chaosPlan {
-	n := f.cfg.Servers
-	cp := trivialPlan(n)
-	if !f.cfg.Chaos.Enabled() {
-		return cp
+// crashTimes returns the scheduled crash instants in ascending order.
+func (cp *chaosPlan) crashTimes() []float64 {
+	var ts []float64
+	for _, at := range cp.crashAt {
+		if !math.IsInf(at, 1) {
+			ts = append(ts, at)
+		}
 	}
-	ch := *f.cfg.Chaos
-	horizon := f.cfg.SettleSeconds + f.cfg.MeasureSeconds
+	sort.Float64s(ts)
+	return ts
+}
 
-	type victim struct {
-		idx int
-		at  float64
+// replaceDead is the cluster scheduler's reaction to whole-server failure,
+// run at every barrier: each server that crashed since the last one while
+// hosting a batch instance gets it re-placed, RestartDelaySeconds after the
+// crash, onto the lowest-index batch-free server that is alive at the
+// landing and has nothing inbound — computed against live occupancy, because
+// earlier re-placements and migrations move instances on and off servers.
+// The scheduler cannot see the future: a target that is up at the landing
+// may itself crash later, and its instance is then re-placed again. An
+// instance that cannot be re-placed (horizon too close, or no free survivor)
+// stays attached to the corpse and is accounted as dead with it.
+func (f *Fleet) replaceDead(sims []*serverSim, plan *chaosPlan, t float64) {
+	if plan.crashes == 0 {
+		return
 	}
-	var victims []victim
-	for i := 0; i < n; i++ {
-		at, crashed := ch.ServerCrashAt(i, horizon)
-		if !crashed {
-			continue
-		}
-		cp.plans[i].crashAtSeconds = at
-		cp.crashes++
-		if assignment[i] != "" {
-			victims = append(victims, victim{i, at})
+	// Victims in (crash time, index) order — the order a real scheduler
+	// observes the failures.
+	var victims []*serverSim
+	for i, s := range sims {
+		if s.res.Crashed && t >= s.stop && !plan.settled[i] {
+			plan.settled[i] = true
+			if s.host != nil {
+				victims = append(victims, s)
+			}
 		}
 	}
-	if f.cfg.Migration != nil {
-		// Live migration invalidates the t=0 assignment this static
-		// reaction is computed from (an instance may have moved off a
-		// crashing server, or onto one with no replacement planned). The
-		// migration coordinator re-places crash victims dynamically at the
-		// decision-epoch barriers instead, against live occupancy; it
-		// accumulates replacements/unplaced into this plan as it goes.
-		return cp
-	}
-	sort.Slice(victims, func(a, b int) bool {
-		if victims[a].at != victims[b].at {
-			return victims[a].at < victims[b].at
-		}
-		return victims[a].idx < victims[b].idx
-	})
-
-	taken := make([]bool, n)
+	sort.SliceStable(victims, func(a, b int) bool { return victims[a].stop < victims[b].stop })
+	horizon := f.cfg.horizon()
 	for _, v := range victims {
-		at := v.at + ch.RestartDelaySeconds
-		if at >= horizon {
-			cp.unplaced++
-			continue
-		}
+		land := v.stop + f.cfg.Chaos.RestartDelaySeconds
 		target := -1
-		for j := 0; j < n; j++ {
-			if assignment[j] == "" && !taken[j] && !cp.plans[j].crashes() {
-				target = j
-				break
+		if land < horizon {
+			for j, s := range sims {
+				if j != v.idx && land < s.stop && s.host == nil && len(s.pending) == 0 {
+					target = j
+					break
+				}
 			}
 		}
 		if target < 0 {
-			cp.unplaced++
+			plan.unplaced++
 			continue
 		}
-		taken[target] = true
-		cp.plans[target].arrivals = append(cp.plans[target].arrivals, arrival{
-			App: assignment[v.idx], AtSeconds: at,
-		})
-		cp.replacements++
+		sims[target].scheduleArrival(arrival{App: v.detachInstance(), AtSeconds: land, from: v.idx})
+		plan.replacements++
 	}
-	return cp
 }

@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datacenter"
 	"repro/internal/faults"
@@ -29,7 +30,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/progbin"
 	"repro/internal/sampling"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -202,12 +202,62 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// quantumSeconds is the machine scheduling quantum every server runs at
+// (machine.Config's default, 1 ms): the finest grain a server can stop at.
+const quantumSeconds = 1e-3
+
+// validate checks a configuration that already has its defaults. The
+// durations arrive from flags, and a bad one does not fail, it spins: a
+// negative duration wraps to a huge cycle target, a NaN or infinite one
+// never reaches its horizon, and an epoch window under one machine quantum
+// never advances a server.
 func (c Config) validate() error {
 	if c.Servers <= 0 {
 		return fmt.Errorf("fleet: need at least one server, got %d", c.Servers)
 	}
+	if c.Instances < 0 {
+		return fmt.Errorf("fleet: negative batch instance count %d", c.Instances)
+	}
 	if c.Instances > c.Servers {
 		return fmt.Errorf("fleet: %d batch instances exceed %d servers (one batch core each)", c.Instances, c.Servers)
+	}
+	if !(c.Target > 0 && c.Target <= 1) {
+		return fmt.Errorf("fleet: QoS target %v outside (0, 1]", c.Target)
+	}
+	type seconds struct {
+		name   string
+		v, min float64
+	}
+	// withDefaults has replaced a zero SoloSeconds or MeasureSeconds, so
+	// non-negative means positive for those two.
+	durations := []seconds{
+		{"SoloSeconds", c.SoloSeconds, 0},
+		{"SettleSeconds", c.SettleSeconds, 0},
+		{"MeasureSeconds", c.MeasureSeconds, 0},
+		{"PhaseSpreadSeconds", c.PhaseSpreadSeconds, 0},
+	}
+	if ch := c.Chaos; ch != nil {
+		durations = append(durations,
+			seconds{"Chaos.RestartDelaySeconds", ch.RestartDelaySeconds, 0},
+			seconds{"Chaos.RuntimeCrashMTTFSeconds", ch.RuntimeCrashMTTFSeconds, 0},
+			seconds{"Chaos.QoSDropoutSeconds", ch.QoSDropoutSeconds, 0},
+			seconds{"Chaos.MoveStallMaxSeconds", ch.MoveStallMaxSeconds, 0})
+	}
+	if mg := c.Migration; mg != nil {
+		durations = append(durations,
+			seconds{"Migration.WindowSeconds", mg.WindowSeconds, quantumSeconds},
+			seconds{"Migration.BlackoutSeconds", mg.BlackoutSeconds, 0},
+			seconds{"Migration.RetryBackoffSeconds", mg.RetryBackoffSeconds, 0},
+			seconds{"Migration.RetryBackoffCapSeconds", mg.RetryBackoffCapSeconds, 0},
+			seconds{"Migration.RollbackPenaltySeconds", mg.RollbackPenaltySeconds, 0})
+	}
+	if c.SLO != nil {
+		durations = append(durations, seconds{"SLO.WindowSeconds", c.SLO.WindowSeconds, quantumSeconds})
+	}
+	for _, d := range durations {
+		if !(d.v >= d.min) || math.IsInf(d.v, 1) {
+			return fmt.Errorf("fleet: %s = %v, want a finite duration of at least %v s", d.name, d.v, d.min)
+		}
 	}
 	if _, ok := workload.ByName(c.Webservice); !ok {
 		return fmt.Errorf("fleet: unknown webservice %q", c.Webservice)
@@ -217,6 +267,9 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// horizon is the full run length in simulated seconds.
+func (c Config) horizon() float64 { return c.SettleSeconds + c.MeasureSeconds }
 
 // ServerResult is one server's measured steady-state outcome.
 type ServerResult struct {
@@ -412,24 +465,14 @@ type Fleet struct {
 	serverProf []map[string]*sampling.DeepProfile
 	// live is the scrape surface state; non-nil once Handler was called.
 	live *liveState
-	// contendMu guards contendStat, the migration control loop's latest
-	// published snapshot (served at /contend, exported after Run).
-	contendMu   sync.Mutex
-	contendStat *ContendStatus
-	// audit is the conservation auditor (non-nil once the migration epoch
-	// loop starts); auditStat is its latest published snapshot, guarded by
-	// contendMu like contendStat (served at /audit, returned by
-	// AuditReport).
-	audit     *auditor
-	auditStat *AuditReport
+	// pub is the coordinator's latest published snapshot (see published).
+	pub atomic.Pointer[published]
+	// audit is the conservation auditor (non-nil once the epoch loop starts
+	// with Config.Migration set).
+	audit *auditor
 	// sloObs is the SLO observer (non-nil once the epoch loop starts with
-	// Config.SLO set); the rendered snapshots below are its per-barrier
-	// publications, guarded by contendMu (served at /slo, /alerts,
-	// /postmortem).
-	sloObs       *sloObserver
-	sloStatJSON  string
-	alertLogJSON string
-	sloBundles   []*slo.Bundle
+	// Config.SLO set).
+	sloObs *sloObserver
 }
 
 // New validates the configuration and builds a fleet.
@@ -483,14 +526,16 @@ func (f *Fleet) trace(i int) loadgen.Trace {
 	return loadgen.Offset{Trace: f.cfg.Trace, By: f.offset(i)}
 }
 
-// forEach fans f(0..n-1) across the worker pool, returning the
-// lowest-index error.
-func (f *Fleet) forEach(n int, fn func(i int) error) error {
-	w := f.cfg.Workers
-	if w > n {
-		w = n
+// ForEach runs fn(0..n-1) across at most workers goroutines (serial when
+// workers <= 1) and returns the lowest-index error. Callers write results
+// to index i of a slice they own, so output order never depends on
+// scheduling. The fleet's server pool and the harness's figure drivers
+// share it.
+func ForEach(workers, n int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
 	}
-	if w <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -501,7 +546,7 @@ func (f *Fleet) forEach(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -523,6 +568,11 @@ func (f *Fleet) forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
+// forEach fans fn across the fleet's worker pool.
+func (f *Fleet) forEach(n int, fn func(i int) error) error {
+	return ForEach(f.cfg.Workers, n, fn)
+}
+
 // Run calibrates, places, simulates every server across the worker pool,
 // and aggregates cluster metrics.
 func (f *Fleet) Run() (Metrics, error) {
@@ -538,10 +588,9 @@ func (f *Fleet) Run() (Metrics, error) {
 	for inst, srv := range f.placement {
 		assignment[srv] = apps[inst]
 	}
-	// The fault schedule and the scheduler's re-placement reactions are
-	// fixed before any server simulates, keeping them independent of
-	// worker interleaving.
-	plan := f.buildChaosPlan(assignment)
+	// The crash schedule is fixed before any server simulates, keeping it
+	// independent of worker interleaving.
+	plan := f.buildChaosPlan()
 	f.tel = f.cfg.Telemetry
 	if f.tel == nil {
 		f.tel = telemetry.New(telemetry.Config{})
@@ -553,27 +602,15 @@ func (f *Fleet) Run() (Metrics, error) {
 	f.serverProf = make([]map[string]*sampling.DeepProfile, f.cfg.Servers)
 	sims := make([]*serverSim, f.cfg.Servers)
 	err := f.forEach(f.cfg.Servers, func(i int) error {
-		s, err := newServerSim(f, i, assignment[i], plan.plans[i])
+		s, err := newServerSim(f, i, assignment[i], plan.crashAt[i])
 		sims[i] = s
 		return err
 	})
 	if err != nil {
 		return Metrics{}, err
 	}
-	horizon := f.cfg.SettleSeconds + f.cfg.MeasureSeconds
-	if f.cfg.Migration != nil || f.cfg.SLO != nil {
-		// Advance the fleet in decision epochs: every server stops at the
-		// epoch boundary, the (single-threaded) coordinator reads counters,
-		// applies migrations and evaluates SLOs, then the next epoch
-		// begins. Decisions are pure functions of (seed, epoch counters),
-		// so the segmented timeline is bit-identical at any worker count.
-		err = f.runEpochs(sims, horizon, &plan)
-	} else {
-		err = f.forEach(f.cfg.Servers, func(i int) error {
-			return sims[i].advanceTo(horizon)
-		})
-	}
-	if err != nil {
+	horizon := f.cfg.horizon()
+	if err := f.runEpochs(sims, horizon, &plan); err != nil {
 		return Metrics{}, err
 	}
 	results := make([]ServerResult, f.cfg.Servers)
@@ -593,7 +630,7 @@ func (f *Fleet) Run() (Metrics, error) {
 			f.tel.CounterValue("contend", "migration_quanta_lost_total"),
 			f.tel.CounterValue("contend", "migrations_total"),
 			f.tel.CounterValue("contend", "moves_failed_total"))
-		f.publishAudit(f.audit.rep.clone())
+		f.publish(func(p *published) { p.audit = f.audit.snapshot() })
 	}
 	// Merge in server-index order: the rollup's sums, histogram buckets and
 	// trace are then independent of worker interleaving.
@@ -603,44 +640,59 @@ func (f *Fleet) Run() (Metrics, error) {
 	return f.aggregate(results, plan), nil
 }
 
-// runEpochs drives the shared decision-epoch loop: every server advances
-// to the barrier across the worker pool, then the single-threaded
-// coordinator section runs — first the migration step (when on), then the
-// SLO step (when on), which therefore observes the epoch's moves. The two
-// always share one epoch clock; with migration on, its window wins (see
-// SLOConfig.withDefaults).
+// runEpochs is the fleet's one control loop. Every server advances to the
+// next barrier across the worker pool, then the single-threaded coordinator
+// section runs: the scheduler re-places instances off crashed servers, then
+// — at decision epochs — the migration step (when on) and the SLO step
+// (when on), which therefore observes the epoch's moves. Decisions are pure
+// functions of (seed, epoch counters) and segment boundaries change nothing
+// about what each machine computes, so the timeline is bit-identical at any
+// worker count. Migration and SLO share one epoch clock; with migration on,
+// its window wins (see SLOConfig.withDefaults). A run with neither and no
+// crashes has no barriers at all: finish() drains every server in one pass.
 func (f *Fleet) runEpochs(sims []*serverSim, horizon float64, plan *chaosPlan) error {
 	var g *migrator
-	window := 0.0
+	var crashes []float64
+	window := math.Inf(1)
 	if f.cfg.Migration != nil {
-		g = f.newMigrator(sims, horizon, plan)
+		g = f.newMigrator(sims, horizon)
 		window = g.mc.WindowSeconds
+	} else {
+		// Without a migration coordinator the scheduler reacts to a crash
+		// the instant it happens (landings at exactly crash +
+		// RestartDelaySeconds) rather than on the coordinator's clock.
+		crashes = plan.crashTimes()
 	}
 	if f.cfg.SLO != nil {
 		f.sloObs = f.newSLOObserver(sims, horizon)
 		window = f.cfg.SLO.WindowSeconds
 	}
 	n := len(sims)
-	for e := 1; ; e++ {
-		t := float64(e) * window
-		if t >= horizon-1e-9 {
+	for e := 1; ; {
+		t, decide := float64(e)*window, true
+		if len(crashes) > 0 && crashes[0] <= t {
+			t, decide = crashes[0], crashes[0] == t
+			crashes = crashes[1:]
+		} else if t >= horizon-1e-9 {
 			// The final partial segment runs in finish(); no decision at
 			// the horizon itself.
-			break
+			return nil
 		}
 		if err := f.forEach(n, func(i int) error { return sims[i].advanceTo(t) }); err != nil {
 			return err
 		}
+		f.replaceDead(sims, plan, t)
+		if !decide {
+			continue
+		}
 		if g != nil {
-			if err := g.barrier(e, t); err != nil {
-				return err
-			}
+			g.barrier(e, t)
 		}
 		if f.sloObs != nil {
 			f.sloObs.barrier(e, t)
 		}
+		e++
 	}
-	return nil
 }
 
 // calibrate measures solo rates, contentiousness and webservice capacity
@@ -736,7 +788,7 @@ func (f *Fleet) peakQPS(bin *progbin.Binary) (float64, error) {
 // place runs the scheduler and validates its assignment.
 func (f *Fleet) place(apps []string) error {
 	f.slots = make([]ServerSlot, f.cfg.Servers)
-	horizon := f.cfg.SettleSeconds + f.cfg.MeasureSeconds
+	horizon := f.cfg.horizon()
 	for i := range f.slots {
 		load := 1.0
 		if tr := f.trace(i); tr != nil {

@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datacenter"
+	"repro/internal/faults"
 	"repro/internal/loadgen"
+	"repro/internal/machine"
 )
 
 // testConfig is a deliberately small diurnal fleet: cheap enough for the
@@ -123,5 +127,61 @@ func TestFleetPlacementRespectsPolicy(t *testing.T) {
 	want := ContentionAware{}.Place(instances, f.slots)
 	if !reflect.DeepEqual(placement, want) {
 		t.Fatalf("placement %v does not match policy output %v", placement, want)
+	}
+}
+
+// TestConfigValidation holds New to rejecting every configuration that
+// would fail or spin later: a negative duration wraps to a huge cycle
+// target, a NaN never reaches the horizon, an epoch window under one
+// machine quantum never advances a server. New only validates, so no
+// server is ever constructed.
+func TestConfigValidation(t *testing.T) {
+	mc := machine.New(machine.Config{Cores: 1}).Config()
+	if got := float64(mc.QuantumCycles) / mc.FreqHz; got != quantumSeconds {
+		t.Fatalf("machine quantum is %v s, validate assumes %v s", got, quantumSeconds)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Config)
+		want string // substring of the error; "" = must be accepted
+	}{
+		{"defaults", func(c *Config) {}, ""},
+		{"all stages on", func(c *Config) {
+			c.Chaos, c.Migration, c.SLO = &faults.Chaos{}, &MigrationConfig{}, &SLOConfig{}
+		}, ""},
+		{"zero servers", func(c *Config) { c.Servers = 0 }, "at least one server"},
+		{"more instances than servers", func(c *Config) { c.Instances = 3 }, "exceed"},
+		{"negative instances", func(c *Config) { c.Instances = -1 }, "negative"},
+		{"unknown webservice", func(c *Config) { c.Webservice = "no-such-app" }, "unknown webservice"},
+		{"target above one", func(c *Config) { c.Target = 1.5 }, "target"},
+		{"negative target", func(c *Config) { c.Target = -0.5 }, "target"},
+		{"NaN target", func(c *Config) { c.Target = nan }, "target"},
+		{"negative settle", func(c *Config) { c.SettleSeconds = -1 }, "SettleSeconds"},
+		{"infinite settle", func(c *Config) { c.SettleSeconds = inf }, "SettleSeconds"},
+		{"NaN measure", func(c *Config) { c.MeasureSeconds = nan }, "MeasureSeconds"},
+		{"negative measure", func(c *Config) { c.MeasureSeconds = -1 }, "MeasureSeconds"},
+		{"negative solo", func(c *Config) { c.SoloSeconds = -0.5 }, "SoloSeconds"},
+		{"sub-quantum measure", func(c *Config) { c.MeasureSeconds = quantumSeconds / 2 }, ""},
+		{"NaN phase spread", func(c *Config) { c.PhaseSpreadSeconds = nan }, "PhaseSpreadSeconds"},
+		{"negative restart delay", func(c *Config) { c.Chaos = &faults.Chaos{RestartDelaySeconds: -1} }, "RestartDelaySeconds"},
+		{"sub-quantum migration window", func(c *Config) { c.Migration = &MigrationConfig{WindowSeconds: 1e-7} }, "Migration.WindowSeconds"},
+		{"NaN migration window", func(c *Config) { c.Migration = &MigrationConfig{WindowSeconds: nan} }, "Migration.WindowSeconds"},
+		{"infinite blackout", func(c *Config) { c.Migration = &MigrationConfig{BlackoutSeconds: inf} }, "BlackoutSeconds"},
+		{"sub-quantum SLO window", func(c *Config) { c.SLO = &SLOConfig{WindowSeconds: 1e-7} }, "SLO.WindowSeconds"},
+		{"one-quantum SLO window", func(c *Config) { c.SLO = &SLOConfig{WindowSeconds: quantumSeconds} }, ""},
+	}
+	for _, tc := range cases {
+		cfg := Config{Servers: 2, Webservice: "web-search", Mix: datacenter.Mix{Name: "test", Apps: []string{"milc"}}}
+		tc.edit(&cfg)
+		_, err := New(cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -6,8 +6,9 @@
 // each machine computes), and a single-threaded coordinator:
 //
 //  1. re-places instances off servers that crashed since the last epoch
-//     (the cluster scheduler's reaction, computed against live occupancy
-//     rather than the static t=0 assignment),
+//     (the cluster scheduler's reaction — replaceDead, which the control
+//     loop runs at every barrier — computed against live occupancy rather
+//     than the static t=0 assignment),
 //  2. samples every server's counters since the previous epoch (CPI,
 //     MPKI, LLC miss bandwidth, offered load), evicting dead servers from
 //     the detector and applying any seeded sensor faults (corrupted or
@@ -168,13 +169,6 @@ type ContendStatus struct {
 	Moves          []MoveRecord
 }
 
-func (st *ContendStatus) clone() *ContendStatus {
-	c := *st
-	c.Servers = append([]contend.State(nil), st.Servers...)
-	c.Moves = append([]MoveRecord(nil), st.Moves...)
-	return &c
-}
-
 // WriteJSON renders the status as deterministic JSON: fixed field order,
 // canonical float formatting, no reflection — byte-identical at any
 // worker count under a fixed seed.
@@ -216,26 +210,6 @@ func (st *ContendStatus) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// publishContend deposits a snapshot for /contend and ContendStatus.
-func (f *Fleet) publishContend(st *ContendStatus) {
-	c := st.clone()
-	f.contendMu.Lock()
-	f.contendStat = c
-	f.contendMu.Unlock()
-}
-
-// ContendStatus returns the migration control loop's latest published
-// snapshot (nil before the first decision epoch, or when migration is
-// off). Safe to call from any goroutine.
-func (f *Fleet) ContendStatus() *ContendStatus {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	if f.contendStat == nil {
-		return nil
-	}
-	return f.contendStat.clone()
-}
-
 // migrator is the per-run state of the decision-epoch coordinator. All of
 // it is touched only in the single-threaded coordinator sections between
 // epochs, so every decision is a pure function of (seed, epoch counters).
@@ -247,8 +221,6 @@ type migrator struct {
 	det     *contend.Detector
 	brk     *contend.Breaker
 	aud     *auditor
-	plan    *chaosPlan
-	status  *ContendStatus
 	horizon float64
 	freq    float64
 	quantum uint64
@@ -257,11 +229,12 @@ type migrator struct {
 	gCont, gBreaker                                            *telemetry.Gauge
 
 	moveSeq uint64
+	// moves is the cumulative move log (append-only: published snapshots
+	// share its prefixes).
+	moves []MoveRecord
 	// lastDelivered is what each server's sensor delivered last epoch —
 	// the reading a stale sensor replays.
 	lastDelivered []contend.Sample
-	// handledDead marks crashed servers whose instance fate is settled.
-	handledDead []bool
 	// spares are this epoch's unused eligible destinations, in planner
 	// preference order — the deterministic retry sequence.
 	spares []contend.Target
@@ -289,35 +262,26 @@ func (g *migrator) emitBreaker(t float64, cause string) {
 
 // newMigrator builds the decision-epoch coordinator described in the
 // package comment above; runEpochs drives its barrier once per epoch. sims
-// are already constructed and at t=0; plan receives the coordinator's
-// dynamic re-placement counts.
-func (f *Fleet) newMigrator(sims []*serverSim, horizon float64, plan *chaosPlan) *migrator {
+// are already constructed and at t=0.
+func (f *Fleet) newMigrator(sims []*serverSim, horizon float64) *migrator {
 	mc := *f.cfg.Migration
 	n := len(sims)
 	mcfg := sims[0].m.Config()
 	g := &migrator{
 		f: f, mc: mc, ch: f.cfg.Chaos, sims: sims,
 		det: contend.New(n, mc.Detector), brk: contend.NewBreaker(mc.Breaker),
-		plan: plan, horizon: horizon,
-		freq: mcfg.FreqHz, quantum: mcfg.QuantumCycles,
-		cMig:     f.tel.Counter("contend", "migrations_total", "live batch migrations landed"),
-		cLost:    f.tel.Counter("contend", "migration_quanta_lost_total", "batch quanta lost to migration blackouts"),
-		cFail:    f.tel.Counter("contend", "moves_failed_total", "live migrations that failed (detach faults + rollbacks)"),
-		cRoll:    f.tel.Counter("contend", "move_rollbacks_total", "failed moves rolled back to their source"),
-		cRetry:   f.tel.Counter("contend", "move_retries_total", "extra landing attempts after a failed landing"),
-		cTrip:    f.tel.Counter("contend", "breaker_trips_total", "migration circuit-breaker trips"),
-		cCorrupt: f.tel.Counter("contend", "corrupt_samples_total", "detector samples corrupted by chaos"),
-		cStale:   f.tel.Counter("contend", "stale_samples_total", "detector samples replayed stale by chaos"),
-		gCont:    f.tel.Gauge("contend", "contended_servers", "servers flagged contended at the latest decision epoch"),
-		gBreaker: f.tel.Gauge("contend", "breaker_state", "migration breaker position (0 closed, 1 half-open, 2 open)"),
-		status: &ContendStatus{
-			WindowSeconds:   mc.WindowSeconds,
-			BlackoutSeconds: mc.BlackoutSeconds,
-			Budget:          mc.BudgetPerEpoch,
-			BreakerState:    contend.BreakerClosed.String(),
-		},
+		horizon: horizon, freq: mcfg.FreqHz, quantum: mcfg.QuantumCycles,
+		cMig:          f.tel.Counter("contend", "migrations_total", "live batch migrations landed"),
+		cLost:         f.tel.Counter("contend", "migration_quanta_lost_total", "batch quanta lost to migration blackouts"),
+		cFail:         f.tel.Counter("contend", "moves_failed_total", "live migrations that failed (detach faults + rollbacks)"),
+		cRoll:         f.tel.Counter("contend", "move_rollbacks_total", "failed moves rolled back to their source"),
+		cRetry:        f.tel.Counter("contend", "move_retries_total", "extra landing attempts after a failed landing"),
+		cTrip:         f.tel.Counter("contend", "breaker_trips_total", "migration circuit-breaker trips"),
+		cCorrupt:      f.tel.Counter("contend", "corrupt_samples_total", "detector samples corrupted by chaos"),
+		cStale:        f.tel.Counter("contend", "stale_samples_total", "detector samples replayed stale by chaos"),
+		gCont:         f.tel.Gauge("contend", "contended_servers", "servers flagged contended at the latest decision epoch"),
+		gBreaker:      f.tel.Gauge("contend", "breaker_state", "migration breaker position (0 closed, 1 half-open, 2 open)"),
 		lastDelivered: make([]contend.Sample, n),
-		handledDead:   make([]bool, n),
 	}
 	g.aud = newAuditor(f, sims)
 	f.audit = g.aud
@@ -325,189 +289,130 @@ func (f *Fleet) newMigrator(sims []*serverSim, horizon float64, plan *chaosPlan)
 }
 
 // barrier is the coordinator's single-threaded epoch step; runEpochs calls
-// it after every server has advanced to the barrier. Index order,
-// deterministic.
-func (g *migrator) barrier(e int, t float64) error {
+// it after every server has advanced to the barrier and crash victims are
+// re-placed. Index order, deterministic.
+func (g *migrator) barrier(e int, t float64) {
 	n := len(g.sims)
-	{
-		g.replaceDead(t)
-		samples, corruptEpoch := g.sample(e, t)
-		verdicts := g.det.Observe(samples)
-		states := g.det.States()
-		for i, st := range states {
-			if st.FlippedAt == g.det.Epoch() {
-				v := 0.0
-				if st.Contended {
-					v = 1
-				}
-				g.sims[i].reg.Emit(telemetry.Event{
-					At: g.sims[i].m.Now(), Kind: telemetry.EvContended,
-					Value: v, Detail: telemetry.FormatFloat(st.Score),
+	samples, corruptEpoch := g.sample(e, t)
+	verdicts := g.det.Observe(samples)
+	states := g.det.States()
+	for i, st := range states {
+		if st.FlippedAt == g.det.Epoch() {
+			v := 0.0
+			if st.Contended {
+				v = 1
+			}
+			g.sims[i].reg.Emit(telemetry.Event{
+				At: g.sims[i].m.Now(), Kind: telemetry.EvContended,
+				Value: v, Detail: telemetry.FormatFloat(st.Score),
+			})
+		}
+	}
+	g.gCont.Set(float64(g.det.Contended()))
+
+	// Breaker epoch advance: cooldown countdown, then the corrupt-epoch
+	// trip — decisions made from corrupted counters can't be trusted.
+	prevState := g.brk.State()
+	g.brk.BeginEpoch()
+	if g.brk.State() != prevState {
+		g.emitBreaker(t, "cooldown")
+	}
+	if corruptEpoch {
+		preTrips := g.brk.Trips()
+		g.brk.TripCorrupt()
+		if g.brk.Trips() != preTrips {
+			g.cTrip.Inc()
+			g.emitBreaker(t, "corrupt")
+		}
+	}
+	g.gBreaker.Set(float64(g.brk.State()))
+
+	// The breaker admits moves; a firing QoS burn alert (previous
+	// epoch's evaluation — the SLO step runs after this one) raises
+	// the admitted budget so the control loop reacts harder while the
+	// fleet burns error budget. The breaker still gates everything: an
+	// open breaker admits zero moves, boost or not.
+	budget := g.brk.Budget(g.mc.BudgetPerEpoch)
+	if budget > 0 {
+		budget += g.f.boostBudget()
+	}
+	spDecide := g.f.tel.StartSpan("contend.decide", g.cyc(t), 0)
+	g.f.tel.SpanAttrs(spDecide,
+		telemetry.Num("epoch", float64(g.det.Epoch())),
+		telemetry.Num("contended", float64(g.det.Contended())),
+		telemetry.Num("budget", float64(budget)))
+	var moves []contend.Move
+	g.spares = nil
+	if budget > 0 && t+g.mc.BlackoutSeconds < g.horizon {
+		var cands []contend.Candidate
+		targets := make([]contend.Target, 0, n)
+		for i, s := range g.sims {
+			alive := t < s.stop
+			if verdicts[i] && alive && s.host != nil {
+				cands = append(cands, contend.Candidate{
+					Server: i, App: s.hostApp, Score: g.f.cal.pressure[s.hostApp],
 				})
 			}
+			targets = append(targets, contend.Target{
+				Server: i, Load: samples[i].Util,
+				Eligible: alive && samples[i].Valid && !verdicts[i] &&
+					s.host == nil && len(s.pending) == 0,
+			})
 		}
-		g.gCont.Set(float64(g.det.Contended()))
-
-		// Breaker epoch advance: cooldown countdown, then the corrupt-epoch
-		// trip — decisions made from corrupted counters can't be trusted.
-		prevState := g.brk.State()
-		g.brk.BeginEpoch()
-		if g.brk.State() != prevState {
-			g.emitBreaker(t, "cooldown")
+		moves = contend.PlanMoves(g.mc.Detector.Seed, cands, targets, budget)
+		// The ordered eligible targets not consumed by the plan are the
+		// retry fallbacks, in the same preference order.
+		ordered := contend.OrderTargets(g.mc.Detector.Seed, targets)
+		if len(moves) < len(ordered) {
+			g.spares = ordered[len(moves):]
 		}
-		if corruptEpoch {
-			preTrips := g.brk.Trips()
-			g.brk.TripCorrupt()
+	}
+	for _, mv := range moves {
+		outcome := g.executeMove(mv, e, t, spDecide)
+		preState, preTrips := g.brk.State(), g.brk.Trips()
+		switch {
+		case outcome > 0:
+			g.brk.RecordSuccess()
+			if g.brk.State() != preState {
+				g.emitBreaker(t, "probe-ok")
+			}
+		case outcome < 0:
+			g.brk.RecordFailure()
 			if g.brk.Trips() != preTrips {
 				g.cTrip.Inc()
-				g.emitBreaker(t, "corrupt")
-			}
-		}
-		g.gBreaker.Set(float64(g.brk.State()))
-
-		// The breaker admits moves; a firing QoS burn alert (previous
-		// epoch's evaluation — the SLO step runs after this one) raises
-		// the admitted budget so the control loop reacts harder while the
-		// fleet burns error budget. The breaker still gates everything: an
-		// open breaker admits zero moves, boost or not.
-		budget := g.brk.Budget(g.mc.BudgetPerEpoch)
-		if budget > 0 {
-			budget += g.f.boostBudget()
-		}
-		spDecide := g.f.tel.StartSpan("contend.decide", g.cyc(t), 0)
-		g.f.tel.SpanAttrs(spDecide,
-			telemetry.Num("epoch", float64(g.det.Epoch())),
-			telemetry.Num("contended", float64(g.det.Contended())),
-			telemetry.Num("budget", float64(budget)))
-		var moves []contend.Move
-		g.spares = nil
-		if budget > 0 && t+g.mc.BlackoutSeconds < g.horizon {
-			var cands []contend.Candidate
-			targets := make([]contend.Target, 0, n)
-			for i, s := range g.sims {
-				alive := t < s.stop
-				if verdicts[i] && alive && s.host != nil {
-					cands = append(cands, contend.Candidate{
-						Server: i, App: s.hostApp, Score: g.f.cal.pressure[s.hostApp],
-					})
+				cause := "failures"
+				if preState == contend.BreakerHalfOpen {
+					cause = "probe-fail"
 				}
-				targets = append(targets, contend.Target{
-					Server: i, Load: samples[i].Util,
-					Eligible: alive && samples[i].Valid && !verdicts[i] &&
-						s.host == nil && len(s.pending) == 0,
-				})
-			}
-			moves = contend.PlanMoves(g.mc.Detector.Seed, cands, targets, budget)
-			// The ordered eligible targets not consumed by the plan are the
-			// retry fallbacks, in the same preference order.
-			ordered := contend.OrderTargets(g.mc.Detector.Seed, targets)
-			if len(moves) < len(ordered) {
-				g.spares = ordered[len(moves):]
+				g.emitBreaker(t, cause)
 			}
 		}
-		for _, mv := range moves {
-			outcome := g.executeMove(mv, e, t, spDecide)
-			preState, preTrips := g.brk.State(), g.brk.Trips()
-			switch {
-			case outcome > 0:
-				g.brk.RecordSuccess()
-				if g.brk.State() != preState {
-					g.emitBreaker(t, "probe-ok")
-				}
-			case outcome < 0:
-				g.brk.RecordFailure()
-				if g.brk.Trips() != preTrips {
-					g.cTrip.Inc()
-					cause := "failures"
-					if preState == contend.BreakerHalfOpen {
-						cause = "probe-fail"
-					}
-					g.emitBreaker(t, cause)
-				}
-			}
-		}
-		g.gBreaker.Set(float64(g.brk.State()))
-		g.f.tel.EndSpan(spDecide, g.cyc(t))
+	}
+	g.gBreaker.Set(float64(g.brk.State()))
+	g.f.tel.EndSpan(spDecide, g.cyc(t))
 
-		st := g.status
-		st.Epoch = g.det.Epoch()
-		st.AtSeconds = t
-		st.EnterThreshold, st.ExitThreshold = g.det.Thresholds()
-		st.Contended = g.det.Contended()
-		st.Migrations = g.cMig.Value()
-		st.QuantaLost = g.cLost.Value()
-		st.MovesFailed = g.cFail.Value()
-		st.Rollbacks = g.cRoll.Value()
-		st.Retries = g.cRetry.Value()
-		st.CorruptSamples = g.cCorrupt.Value()
-		st.StaleSamples = g.cStale.Value()
-		st.BreakerState = g.brk.State().String()
-		st.BreakerTrips = uint64(g.brk.Trips())
-		st.Servers = states
-		g.f.publishContend(st)
-		g.aud.check(g.det.Epoch(), t, g.cLost.Value(), g.cMig.Value(), g.cFail.Value())
-		g.f.publishAudit(g.aud.rep.clone())
+	g.aud.check(g.det.Epoch(), t, g.cLost.Value(), g.cMig.Value(), g.cFail.Value())
+	st := &ContendStatus{
+		Epoch:           g.det.Epoch(),
+		AtSeconds:       t,
+		WindowSeconds:   g.mc.WindowSeconds,
+		BlackoutSeconds: g.mc.BlackoutSeconds,
+		Budget:          g.mc.BudgetPerEpoch,
+		Contended:       g.det.Contended(),
+		Migrations:      g.cMig.Value(),
+		QuantaLost:      g.cLost.Value(),
+		MovesFailed:     g.cFail.Value(),
+		Rollbacks:       g.cRoll.Value(),
+		Retries:         g.cRetry.Value(),
+		CorruptSamples:  g.cCorrupt.Value(),
+		StaleSamples:    g.cStale.Value(),
+		BreakerState:    g.brk.State().String(),
+		BreakerTrips:    uint64(g.brk.Trips()),
+		Servers:         states,
+		Moves:           g.moves,
 	}
-	return nil
-}
-
-// replaceDead is the cluster scheduler's dynamic reaction: servers that
-// crashed since the last epoch while hosting a batch instance get it
-// re-placed, RestartDelaySeconds after the crash, onto the lowest-index
-// surviving batch-free server — computed against live occupancy, because
-// migration may have moved instances on or off the victim since t=0. An
-// instance that cannot be re-placed (horizon too close, or no free
-// survivor) stays attached to the corpse and is accounted as dead with it.
-func (g *migrator) replaceDead(t float64) {
-	if g.ch == nil || g.ch.ServerCrashProb <= 0 {
-		return
-	}
-	// Victims in (crash time, index) order — the order a real scheduler
-	// observes the failures. Barrier order equals crash order here because
-	// each epoch sweeps the fleet in index order below.
-	type victim struct {
-		idx int
-		at  float64
-	}
-	var victims []victim
-	for i, s := range g.sims {
-		if s.res.Crashed && t >= s.stop && !g.handledDead[i] {
-			g.handledDead[i] = true
-			if s.host != nil {
-				victims = append(victims, victim{i, s.stop})
-			}
-		}
-	}
-	for i := 1; i < len(victims); i++ {
-		for j := i; j > 0 && (victims[j-1].at > victims[j].at ||
-			(victims[j-1].at == victims[j].at && victims[j-1].idx > victims[j].idx)); j-- {
-			victims[j-1], victims[j] = victims[j], victims[j-1]
-		}
-	}
-	for _, v := range victims {
-		land := v.at + g.ch.RestartDelaySeconds
-		if land >= g.horizon {
-			g.plan.unplaced++
-			continue
-		}
-		target := -1
-		for j, s := range g.sims {
-			if j != v.idx && land < s.stop && s.host == nil && len(s.pending) == 0 {
-				target = j
-				break
-			}
-		}
-		if target < 0 {
-			g.plan.unplaced++
-			continue
-		}
-		app := g.sims[v.idx].detachInstance()
-		if app == "" {
-			continue
-		}
-		g.sims[target].scheduleArrival(arrival{App: app, AtSeconds: land, from: v.idx})
-		g.plan.replacements++
-	}
+	st.EnterThreshold, st.ExitThreshold = g.det.Thresholds()
+	g.f.publish(func(p *published) { p.contend, p.audit = st, g.aud.snapshot() })
 }
 
 // sample reads every server's contention signals for this epoch: dead
@@ -519,7 +424,7 @@ func (g *migrator) sample(e int, t float64) (samples []contend.Sample, corruptEp
 	samples = make([]contend.Sample, len(g.sims))
 	for i, s := range g.sims {
 		raw := s.contendSample()
-		if !g.alive(i, t) || t >= s.stop {
+		if !g.alive(i, t) {
 			g.det.Evict(i)
 			samples[i] = contend.Sample{}
 			g.lastDelivered[i] = contend.Sample{}
@@ -693,6 +598,6 @@ func (g *migrator) rollback(rec *MoveRecord, src *serverSim, app string, dur flo
 
 // finishMove logs the move record and feeds the auditor's expectations.
 func (g *migrator) finishMove(rec MoveRecord) {
-	g.status.Moves = append(g.status.Moves, rec)
+	g.moves = append(g.moves, rec)
 	g.aud.recordMove(rec)
 }

@@ -129,15 +129,3 @@ func TestServerSeedsDistinct(t *testing.T) {
 		t.Fatal("serverSeed must be deterministic")
 	}
 }
-
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Servers: 0, Webservice: "web-search"}); err == nil {
-		t.Fatal("zero servers should fail")
-	}
-	if _, err := New(Config{Servers: 2, Instances: 3, Webservice: "web-search"}); err == nil {
-		t.Fatal("more instances than servers should fail")
-	}
-	if _, err := New(Config{Servers: 2, Webservice: "no-such-app"}); err == nil {
-		t.Fatal("unknown webservice should fail")
-	}
-}

@@ -88,17 +88,15 @@ func (f *Fleet) Snapshot() (*telemetry.Registry, map[string]*sampling.DeepProfil
 //	/trace    — Chrome trace-event JSON (spans + events; Perfetto-loadable)
 //	/profile  — folded stacks (app;func;block N) for flamegraph tools
 //	/contend  — JSON contention-detector state (per-server verdicts,
-//	            window quantile thresholds, migration log); {"epoch": 0}
-//	            until the migration loop publishes
+//	            window quantile thresholds, migration log)
 //	/audit    — JSON conservation-auditor report (per-epoch instance
-//	            census + invariant violations); {"epochs_checked": 0}
-//	            until the migration loop publishes
-//	/slo      — JSON SLO status (per-spec state, burn rate, since-epoch);
-//	            {"epoch": 0} until the SLO engine publishes
-//	/alerts   — JSON alert log (every lifecycle transition in epoch order);
-//	            {"fired": 0} until the SLO engine publishes
-//	/postmortem — JSON array of frozen flight-recorder bundles; [] until
-//	            the first capture
+//	            census + invariant violations)
+//	/slo      — JSON SLO status (per-spec state, burn rate, since-epoch)
+//	/alerts   — JSON alert log (every lifecycle transition in epoch order)
+//	/postmortem — JSON array of frozen flight-recorder bundles
+//	            (these five are the coordinator's exports: each serves its
+//	            placeholder body from the exports table until the
+//	            coordinator first publishes it)
 //	/healthz  — JSON liveness: servers, how many have published; status
 //	            flips to "degraded" while the migration circuit breaker is
 //	            open or once the conservation auditor has recorded a
@@ -130,59 +128,12 @@ func (f *Fleet) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain")
 		writeFoldedProfiles(w, profs) //nolint:errcheck // client went away
 	})
-	mux.HandleFunc("/contend", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		st := f.ContendStatus()
-		if st == nil {
-			// Migration off, or no decision epoch yet.
-			io.WriteString(w, "{\"epoch\": 0}\n") //nolint:errcheck // client went away
-			return
-		}
-		st.WriteJSON(w) //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/audit", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		rep := f.AuditReport()
-		if rep == nil {
-			// Migration off, or no decision epoch yet.
-			io.WriteString(w, "{\"epochs_checked\": 0}\n") //nolint:errcheck // client went away
-			return
-		}
-		rep.WriteJSON(w) //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if s := f.SLOStatusJSON(); s != "" {
-			io.WriteString(w, s) //nolint:errcheck // client went away
-			return
-		}
-		// SLO off, or no barrier yet.
-		io.WriteString(w, "{\"epoch\": 0}\n") //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if s := f.AlertLogJSON(); s != "" {
-			io.WriteString(w, s) //nolint:errcheck // client went away
-			return
-		}
-		io.WriteString(w, "{\"fired\": 0}\n") //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/postmortem", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		bundles := f.Postmortems()
-		io.WriteString(w, "[") //nolint:errcheck // client went away
-		for i, b := range bundles {
-			if i > 0 {
-				io.WriteString(w, ",") //nolint:errcheck // client went away
-			}
-			io.WriteString(w, "\n")     //nolint:errcheck // client went away
-			io.WriteString(w, b.JSON()) //nolint:errcheck // client went away
-		}
-		if len(bundles) > 0 {
-			io.WriteString(w, "\n") //nolint:errcheck // client went away
-		}
-		io.WriteString(w, "]\n") //nolint:errcheck // client went away
-	})
+	for _, ex := range exports {
+		mux.HandleFunc("/"+ex.name, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			f.WriteExport(ex.name, w) //nolint:errcheck // client went away
+		})
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		f.live.mu.Lock()
 		published := 0
@@ -213,12 +164,11 @@ func (f *Fleet) Handler() http.Handler {
 // (with a reason) when the migration circuit breaker is open or the
 // conservation auditor has recorded any violation; "ok" otherwise.
 func (f *Fleet) health() (status, reason string) {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	if f.contendStat != nil && f.contendStat.BreakerState == "open" {
+	p := f.latest()
+	if p.contend != nil && p.contend.BreakerState == "open" {
 		return "degraded", "circuit breaker open"
 	}
-	if f.auditStat != nil && len(f.auditStat.Violations) > 0 {
+	if p.audit != nil && len(p.audit.Violations) > 0 {
 		return "degraded", "audit violations"
 	}
 	return "ok", ""

@@ -129,3 +129,82 @@ func TestLiveServeEndpoints(t *testing.T) {
 		t.Errorf("post-run /profile carries no stacks:\n%.300s", body)
 	}
 }
+
+// TestCoordinatorExportsServedLive scrapes the coordinator's five exports
+// from another goroutine for the whole length of a crash-heavy migration +
+// SLO run — under -race this is the check that the published snapshot needs
+// no lock — then holds each endpoint to WriteExport's bytes, and a fleet
+// that never ran to the placeholder bodies.
+func TestCoordinatorExportsServedLive(t *testing.T) {
+	names := []string{"contend", "audit", "slo", "alerts", "postmortem"}
+	export := func(f *Fleet, name string) string {
+		t.Helper()
+		var b strings.Builder
+		if err := f.WriteExport(name, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	idle, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"{\"epoch\": 0}\n", "{\"epochs_checked\": 0}\n", "{\"epoch\": 0}\n", "{\"fired\": 0}\n", "[]\n"} {
+		if got := export(idle, names[i]); got != want {
+			t.Errorf("%s before any barrier = %q, want %q", names[i], got, want)
+		}
+	}
+	if err := idle.WriteExport("no-such-export", io.Discard); err == nil {
+		t.Error("unknown export name accepted")
+	}
+
+	f, err := New(sloChaosConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	get := func(name string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/" + name)
+		if err != nil {
+			t.Fatalf("GET /%s: %v", name, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return string(body)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.Run()
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		for _, name := range names {
+			var doc any
+			if body := get(name); json.Unmarshal([]byte(body), &doc) != nil {
+				t.Fatalf("live /%s is not valid JSON:\n%.300s", name, body)
+			}
+		}
+	}
+	for _, name := range names {
+		if got, want := get(name), export(f, name); got != want {
+			t.Errorf("/%s differs from WriteExport(%q)", name, name)
+		}
+	}
+	if st := f.ContendStatus(); st == nil || st.Epoch == 0 || !strings.Contains(get("contend"), `"moves": [`) {
+		t.Errorf("contend export carries no decision epochs: %+v", st)
+	}
+	if len(f.Postmortems()) == 0 || !strings.HasPrefix(get("postmortem"), "[\n{") {
+		t.Errorf("postmortem export carries no bundles:\n%.200s", get("postmortem"))
+	}
+}

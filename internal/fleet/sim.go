@@ -38,13 +38,12 @@ type appSampler struct {
 	smp *sampling.PCSampler
 }
 
-// serverSim is one server's in-flight simulation. The original
-// run-to-completion loop is split into stepwise advanceTo/finish calls so
-// the migration coordinator can stop every server at a decision-epoch
-// boundary, inspect counters, and hand batch instances off between
-// servers — while the no-migration path replays the exact same segments
-// in one pass. All methods are single-goroutine per sim; the only shared
-// state (calibration, plans) is immutable during the run.
+// serverSim is one server's in-flight simulation, advanced stepwise
+// (advanceTo, then finish) so the fleet's control loop can stop every
+// server at a barrier, inspect counters, and hand batch instances off
+// between servers; a run with no barriers is one finish() call. All
+// methods are single-goroutine per sim; the only shared state
+// (calibration) is immutable during the run.
 type serverSim struct {
 	f    *Fleet
 	idx  int
@@ -95,20 +94,20 @@ type serverSim struct {
 
 // newServerSim wires one server: webservice on core 0 (gated behind the
 // offered-load trace when present), the placed batch instance (if any) on
-// core 1, the protean runtime on core 2.
-func newServerSim(f *Fleet, idx int, app string, plan serverPlan) (*serverSim, error) {
+// core 1, the protean runtime on core 2. crashAt is when the whole server
+// fails (+Inf = never).
+func newServerSim(f *Fleet, idx int, app string, crashAt float64) (*serverSim, error) {
 	cfg := f.cfg
 	reg := telemetry.New(telemetry.Config{})
 	f.serverTel[idx] = reg
 	m := machine.New(machine.Config{Cores: 4, Seed: serverSeed(cfg.Seed, idx), Engine: cfg.Engine, Telemetry: reg})
 	s := &serverSim{
 		f: f, idx: idx, reg: reg, m: m, freq: m.Config().FreqHz,
-		horizon: cfg.SettleSeconds + cfg.MeasureSeconds,
+		horizon: cfg.horizon(),
 	}
-	s.stop = math.Min(plan.crashAtSeconds, s.horizon)
+	s.stop = math.Min(crashAt, s.horizon)
 	s.res = ServerResult{Index: idx, App: app, Load: 1, Availability: 1}
-	s.res.Crashed = plan.crashes()
-	s.pending = append([]arrival(nil), plan.arrivals...)
+	s.res.Crashed = !math.IsInf(crashAt, 1)
 
 	wsOpts := machine.ProcessConfig{Restart: true}
 	tr := f.trace(idx)
@@ -253,8 +252,8 @@ func (s *serverSim) attachBatch(a string) error {
 // utilization and instruction counts measured so far, closes the policy
 // session, gates every instance-scoped agent off, and frees core 1. The
 // webservice never stops. Returns the released app ("" if none). Shared by
-// live migration (detachBatch) and the coordinator's dynamic re-placement
-// of instances off crashed servers, which must not count as a migration.
+// live migration (detachBatch) and the scheduler's re-placement of
+// instances off crashed servers, which must not count as a migration.
 func (s *serverSim) detachInstance() string {
 	if s.host == nil {
 		return ""
@@ -333,9 +332,9 @@ func (s *serverSim) maybeSnapshot(at float64) {
 
 // advanceTo simulates up to tSeconds (clamped to the server's stop),
 // processing due arrivals and the measurement snapshot on the way. The
-// no-migration path calls it once with the horizon; the migration
-// coordinator calls it once per decision epoch — the segment boundaries
-// change nothing about what the machine computes.
+// control loop calls it once per barrier and finish() once more with the
+// horizon — the segment boundaries change nothing about what the machine
+// computes.
 func (s *serverSim) advanceTo(tSeconds float64) error {
 	t := math.Min(tSeconds, s.stop)
 	for len(s.pending) > 0 {

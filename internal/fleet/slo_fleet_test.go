@@ -172,16 +172,18 @@ func TestHealthDegraded(t *testing.T) {
 	if st, _ := f.health(); st != "ok" {
 		t.Errorf("fresh fleet health = %s, want ok", st)
 	}
-	f.contendStat = &ContendStatus{BreakerState: "open"}
+	f.publish(func(p *published) { p.contend = &ContendStatus{BreakerState: "open"} })
 	if st, reason := f.health(); st != "degraded" || !strings.Contains(reason, "breaker") {
 		t.Errorf("open breaker health = %s (%s), want degraded", st, reason)
 	}
-	f.contendStat.BreakerState = "closed"
-	f.auditStat = &AuditReport{Violations: make([]AuditViolation, 1)}
+	f.publish(func(p *published) {
+		p.contend = &ContendStatus{BreakerState: "closed"}
+		p.audit = &AuditReport{Violations: make([]AuditViolation, 1)}
+	})
 	if st, reason := f.health(); st != "degraded" || !strings.Contains(reason, "audit") {
 		t.Errorf("audit-violation health = %s (%s), want degraded", st, reason)
 	}
-	f.auditStat = &AuditReport{}
+	f.publish(func(p *published) { p.audit = &AuditReport{} })
 	if st, _ := f.health(); st != "ok" {
 		t.Errorf("recovered health = %s, want ok", st)
 	}

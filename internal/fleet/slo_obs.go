@@ -310,20 +310,9 @@ func (o *sloObserver) barrier(epoch int, t float64) {
 		}
 	}
 	o.gFiring.Set(float64(firing))
-	o.publish()
-}
-
-// publish deposits rendered snapshots for the live endpoints.
-func (o *sloObserver) publish() {
-	statJSON := o.eng.StatusJSON()
-	logJSON := o.eng.Log().JSON()
-	bundles := o.rec.Bundles()
-	f := o.f
-	f.contendMu.Lock()
-	f.sloStatJSON = statJSON
-	f.alertLogJSON = logJSON
-	f.sloBundles = bundles
-	f.contendMu.Unlock()
+	o.f.publish(func(p *published) {
+		p.slo, p.alerts, p.bundles = o.eng.StatusJSON(), o.eng.Log().JSON(), o.rec.Bundles()
+	})
 }
 
 // capture freezes one postmortem bundle.
@@ -333,12 +322,17 @@ func (o *sloObserver) capture(reason string, epoch int, t float64) {
 		{Name: "tsdb_window", JSON: o.tsdbWindowJSON()},
 		{Name: "trace_tail", JSON: o.traceTailJSON()},
 		{Name: "open_spans", JSON: o.openSpansJSON()},
-		{Name: "contend", JSON: o.contendJSON()},
-		{Name: "audit", JSON: o.auditJSON()},
+		{Name: "contend", JSON: o.export("contend")},
+		{Name: "audit", JSON: o.export("audit")},
 	}
 	if b := o.rec.Capture(reason, epoch, t, secs); b != nil {
 		o.cBundles.Inc()
 	}
+}
+
+// export renders one of the coordinator's published exports as a section.
+func (o *sloObserver) export(name string) string {
+	return render(func(w io.Writer) error { return o.f.WriteExport(name, w) })
 }
 
 func (o *sloObserver) tsdbWindowJSON() string {
@@ -406,50 +400,6 @@ func (o *sloObserver) openSpansJSON() string {
 	}
 	b.WriteString("\n  ]")
 	return b.String()
-}
-
-func (o *sloObserver) contendJSON() string {
-	st := o.f.ContendStatus()
-	if st == nil {
-		return "{\"epoch\": 0}"
-	}
-	var b strings.Builder
-	st.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
-}
-
-func (o *sloObserver) auditJSON() string {
-	rep := o.f.AuditReport()
-	if rep == nil {
-		return "{\"epochs_checked\": 0}"
-	}
-	var b strings.Builder
-	rep.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
-}
-
-// SLOStatusJSON returns the engine's latest published status ("" before the
-// first barrier, or with SLO off). Safe from any goroutine.
-func (f *Fleet) SLOStatusJSON() string {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	return f.sloStatJSON
-}
-
-// AlertLogJSON returns the latest published alert log ("" before the first
-// barrier, or with SLO off). Safe from any goroutine.
-func (f *Fleet) AlertLogJSON() string {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	return f.alertLogJSON
-}
-
-// Postmortems returns the flight recorder's frozen bundles (capture order).
-// Safe from any goroutine.
-func (f *Fleet) Postmortems() []*slo.Bundle {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	return append([]*slo.Bundle(nil), f.sloBundles...)
 }
 
 // AlertTransitions returns every SLO lifecycle transition in epoch order

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/machine"
 	"repro/internal/pc3d"
 	"repro/internal/phase"
@@ -124,30 +125,16 @@ func (sc Scale) extSpectrum() []string {
 	return all
 }
 
-// System selects the mitigation system of a co-location run.
-type System int
+// System selects the mitigation system of a co-location run; the fleet's
+// per-server mitigation systems are the same set.
+type System = fleet.System
 
 // Mitigation systems.
 const (
-	// SystemNone co-locates with no mitigation.
-	SystemNone System = iota
-	// SystemPC3D runs the full protean runtime with the PC3D policy.
-	SystemPC3D
-	// SystemReQoS runs the reactive napping baseline.
-	SystemReQoS
+	SystemNone  = fleet.SystemNone
+	SystemPC3D  = fleet.SystemPC3D
+	SystemReQoS = fleet.SystemReQoS
 )
-
-func (s System) String() string {
-	switch s {
-	case SystemNone:
-		return "none"
-	case SystemPC3D:
-		return "PC3D"
-	case SystemReQoS:
-		return "ReQoS"
-	}
-	return fmt.Sprintf("system(%d)", int(s))
-}
 
 // SoloRates is a solo calibration of one app.
 type SoloRates struct {

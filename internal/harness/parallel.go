@@ -2,7 +2,8 @@ package harness
 
 import (
 	"runtime"
-	"sync"
+
+	"repro/internal/fleet"
 )
 
 // workers resolves the scale's fan-out bound: at most Workers goroutines,
@@ -27,38 +28,7 @@ func DefaultWorkers() int { return runtime.NumCPU() }
 // runner's single-flight memoization this makes every figure driver
 // produce identical rows at any worker count.
 func (r *Runner) forEach(n int, f func(i int) error) error {
-	w := r.workers(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fleet.ForEach(r.workers(n), n, f)
 }
 
 // prefetchPairs warms the pair memo across the worker pool so a driver's

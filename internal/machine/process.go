@@ -62,12 +62,6 @@ type ProcessConfig struct {
 	Label string
 }
 
-// ProcessOptions is the former name of ProcessConfig.
-//
-// Deprecated: use ProcessConfig. This alias is kept for one release,
-// mirroring the core/pc3d/supervise Options→Config migrations.
-type ProcessOptions = ProcessConfig
-
 // TraceEntry is one executed instruction in a process's trace ring.
 type TraceEntry struct {
 	Cycle uint64

@@ -87,11 +87,6 @@ func (s Spec) ProcessConfig() machine.ProcessConfig {
 	return machine.ProcessConfig{Restart: true, Label: s.Name}
 }
 
-// ProcessOptions returns ProcessConfig.
-//
-// Deprecated: renamed to ProcessConfig alongside machine.ProcessConfig.
-func (s Spec) ProcessOptions() machine.ProcessConfig { return s.ProcessConfig() }
-
 // ByName returns the catalog entry with the given name.
 func ByName(name string) (Spec, bool) {
 	for _, s := range Catalog() {
