@@ -370,7 +370,7 @@ func ablationPrefetchLead(b *testing.B, iters int64) float64 {
 		b.Fatal(err)
 	}
 	m.AddAgent(rt)
-	ctrl := pcsp.New(rt, pcsp.Options{LeadIters: []int64{iters}, MaxFuncs: 2})
+	ctrl := pcsp.New(pcsp.Config{Runtime: rt, LeadIters: []int64{iters}, MaxFuncs: 2})
 	defer ctrl.Close()
 	m.AddAgent(ctrl)
 	m.RunSeconds(2.5)

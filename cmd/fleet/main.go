@@ -30,6 +30,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/loadgen"
 	"repro/internal/machine"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -228,7 +229,7 @@ func main() {
 		if out.path == "" {
 			continue
 		}
-		if err := writeExport(out.path, out.write); err != nil {
+		if err := telemetry.WriteExport(out.path, out.write); err != nil {
 			failErr(err)
 		}
 	}
@@ -249,22 +250,6 @@ func main() {
 		fmt.Println("run complete; still serving (ctrl-c to exit)")
 		select {}
 	}
-}
-
-// writeExport writes a telemetry export to path, with "-" meaning stdout.
-func writeExport(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fail(format string, args ...any) {

@@ -40,10 +40,12 @@ func main() {
 	sc.MeasureSeconds = *measure
 	r := harness.NewRunner(sc)
 
+	// Every RunPair error traces back to a flag (an unknown application, a
+	// target outside (0,1], a duration the run cannot honour).
 	pr, err := r.RunPair(*host, *ext, sys, *target)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pc3d: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	fmt.Printf("host=%s ext=%s system=%s target=%.0f%%\n", pr.Host, pr.Ext, pr.System, pr.Target*100)
 	fmt.Printf("  host utilization:   %.1f%% of solo throughput\n", pr.Utilization*100)

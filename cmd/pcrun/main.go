@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -44,6 +45,19 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+
+	var reg *telemetry.Registry
+	if *metricsPath != "" || *tracePath != "" || *spansPath != "" {
+		reg = telemetry.New(telemetry.Config{})
+	}
+	m := machine.New(machine.Config{Cores: 2, Engine: *engine, Telemetry: reg})
+	// Machine.RunSeconds converts the quantum count to an int: out of range,
+	// it would silently run one quantum.
+	quanta := *seconds * m.Config().FreqHz / float64(m.Config().QuantumCycles)
+	if !(*seconds > 0) || !(quanta < math.MaxInt) {
+		fmt.Fprintf(os.Stderr, "pcrun: -seconds %v: want a positive duration of fewer than 2^63 quanta\n", *seconds)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
@@ -61,20 +75,26 @@ func main() {
 		os.Exit(1)
 	}
 
-	var reg *telemetry.Registry
-	if *metricsPath != "" || *tracePath != "" || *spansPath != "" {
-		reg = telemetry.New(telemetry.Config{})
-	}
-	m := machine.New(machine.Config{Cores: 2, Engine: *engine, Telemetry: reg})
 	p, err := m.Attach(0, bin, machine.ProcessConfig{Restart: true, TraceDepth: *itrace})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pcrun: %v\n", err)
 		os.Exit(1)
 	}
-	var sampler *sampling.PCSampler
+	var writeProfile func(io.Writer) error
 	if *profilePath != "" {
-		sampler = sampling.NewPCSampler(p, m.Config().QuantumCycles)
+		sampler := sampling.NewPCSampler(p, m.Config().QuantumCycles)
 		m.AddAgent(sampler)
+		switch *profFormat {
+		case "folded":
+			writeProfile = func(w io.Writer) error { return sampler.DeepLifetime().WriteFolded(w, p.Name()) }
+		case "pprof-raw":
+			writeProfile = func(w io.Writer) error {
+				return sampler.DeepLifetime().WritePprofRaw(w, m.Config().QuantumCycles)
+			}
+		default:
+			fmt.Fprintf(os.Stderr, "pcrun: unknown -profile-format %q (folded|pprof-raw)\n", *profFormat)
+			os.Exit(2)
+		}
 	}
 
 	var rt *core.Runtime
@@ -125,57 +145,23 @@ func main() {
 		}
 	}
 
-	if *metricsPath != "" {
-		if err := writeExport(*metricsPath, reg.WritePrometheus); err != nil {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{*metricsPath, reg.WritePrometheus},
+		{*tracePath, reg.WriteJSONL},
+		{*spansPath, reg.WriteChromeTrace},
+		{*profilePath, writeProfile},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if err := telemetry.WriteExport(out.path, out.write); err != nil {
 			fmt.Fprintf(os.Stderr, "pcrun: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	if *tracePath != "" {
-		if err := writeExport(*tracePath, reg.WriteJSONL); err != nil {
-			fmt.Fprintf(os.Stderr, "pcrun: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *spansPath != "" {
-		if err := writeExport(*spansPath, reg.WriteChromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "pcrun: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *profilePath != "" {
-		deep := sampler.DeepLifetime()
-		var write func(w io.Writer) error
-		switch *profFormat {
-		case "folded":
-			write = func(w io.Writer) error { return deep.WriteFolded(w, p.Name()) }
-		case "pprof-raw":
-			write = func(w io.Writer) error { return deep.WritePprofRaw(w, m.Config().QuantumCycles) }
-		default:
-			fmt.Fprintf(os.Stderr, "pcrun: unknown -profile-format %q (folded|pprof-raw)\n", *profFormat)
-			os.Exit(2)
-		}
-		if err := writeExport(*profilePath, write); err != nil {
-			fmt.Fprintf(os.Stderr, "pcrun: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeExport writes a telemetry export to path, with "-" meaning stdout.
-func writeExport(path string, write func(w io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func max64(a, b uint64) uint64 {

@@ -41,7 +41,7 @@ func main() {
 	base := meter.Read(m)
 	fmt.Printf("lbm baseline:    %8.0f branches/s\n", base.BPS)
 
-	ctrl := pcsp.New(rt, pcsp.Options{})
+	ctrl := pcsp.New(pcsp.Config{Runtime: rt})
 	defer ctrl.Close()
 	m.AddAgent(ctrl)
 	m.RunSeconds(3) // the pass profiles, generates, measures, decides

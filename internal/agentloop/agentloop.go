@@ -7,9 +7,16 @@
 // policy on its own goroutine and hands control back and forth with the
 // machine's Tick callback synchronously, so the simulation stays fully
 // deterministic: exactly one of {machine, policy} runs at any moment.
+//
+// The policy is written as if it ran forever: it never sees a shutdown
+// sentinel. Close unwinds it from whichever Wait it is parked in.
 package agentloop
 
-import "repro/internal/machine"
+import (
+	"runtime"
+
+	"repro/internal/machine"
+)
 
 // Loop runs a sequential policy function as a machine.Agent.
 type Loop struct {
@@ -24,9 +31,9 @@ type Loop struct {
 	holding  bool
 }
 
-// New wraps a policy. The policy receives the Loop and must call Wait (or
-// a Wait* helper) to receive quantum ticks; when Wait returns nil the loop
-// is closing and the policy must return promptly.
+// New wraps a policy. The policy receives the Loop and calls Wait (or
+// WaitCycles) to receive quantum ticks. It may return; later ticks are then
+// absorbed until Close.
 func New(fn func(*Loop)) *Loop {
 	return &Loop{
 		fn:       fn,
@@ -76,11 +83,11 @@ func (l *Loop) Close() {
 	l.drain()
 }
 
-// drain closes the tick channel and waits for the policy goroutine to
-// finish, so no policy code ever runs concurrently with the caller. Must
-// not be called from the policy goroutine itself (Close never does: policy
-// code only runs while the machine is mid-tick, which takes the Defer
-// path).
+// drain closes the tick channel — unwinding a policy parked in Wait — and
+// waits for the policy goroutine to finish, deferred calls included, so no
+// policy code ever runs concurrently with the caller. Must not be called
+// from the policy goroutine itself (Close never does: policy code only runs
+// while the machine is mid-tick, which takes the Defer path).
 func (l *Loop) drain() {
 	if l.drained || !l.started {
 		return
@@ -107,27 +114,17 @@ func (l *Loop) release() {
 	}
 }
 
-// Wait yields until the next quantum and returns the machine, or nil when
-// the loop is closing.
+// Wait yields until the next quantum and returns the machine. It never
+// returns to a policy whose loop is closing: Close unwinds the policy
+// goroutine from inside the Wait it is parked in (runtime.Goexit), so the
+// policy's deferred calls run and nothing after the Wait does.
 func (l *Loop) Wait() *machine.Machine {
 	l.release()
 	m, ok := <-l.tick
 	if !ok {
-		return nil
+		runtime.Goexit()
 	}
 	l.holding = true
-	return m
-}
-
-// WaitQuanta waits n quanta (n >= 1).
-func (l *Loop) WaitQuanta(n int) *machine.Machine {
-	var m *machine.Machine
-	for i := 0; i < n; i++ {
-		m = l.Wait()
-		if m == nil {
-			return nil
-		}
-	}
 	return m
 }
 
@@ -135,15 +132,13 @@ func (l *Loop) WaitQuanta(n int) *machine.Machine {
 // from the next observed tick.
 func (l *Loop) WaitCycles(n uint64) *machine.Machine {
 	m := l.Wait()
-	if m == nil {
-		return nil
-	}
 	target := m.Now() + n
 	for m.Now() < target {
 		m = l.Wait()
-		if m == nil {
-			return nil
-		}
 	}
 	return m
 }
+
+// Closing reports whether Close has been called. A policy's deferred calls
+// use it to tell an unwind from a normal return.
+func (l *Loop) Closing() bool { return l.closed }

@@ -11,11 +11,7 @@ func TestPolicySeesEveryQuantum(t *testing.T) {
 	var seen []uint64
 	l := New(func(l *Loop) {
 		for {
-			mm := l.Wait()
-			if mm == nil {
-				return
-			}
-			seen = append(seen, mm.Now())
+			seen = append(seen, l.Wait().Now())
 		}
 	})
 	m.AddAgent(l)
@@ -40,9 +36,7 @@ func TestPolicyInterleavesWithMachine(t *testing.T) {
 	order := []int{}
 	l := New(func(l *Loop) {
 		for {
-			if l.Wait() == nil {
-				return
-			}
+			l.Wait()
 			counter++
 			order = append(order, counter)
 		}
@@ -69,24 +63,16 @@ func TestWaitQuantaAndCycles(t *testing.T) {
 	q := m.Config().QuantumCycles
 	var atQuanta, atCycles uint64
 	l := New(func(l *Loop) {
-		mm := l.WaitQuanta(3)
-		if mm == nil {
-			return
-		}
-		atQuanta = mm.Now()
-		mm = l.WaitCycles(5 * q)
-		if mm == nil {
-			return
-		}
-		atCycles = mm.Now()
-		for l.Wait() != nil {
-		}
+		l.Wait()
+		l.Wait()
+		atQuanta = l.Wait().Now()
+		atCycles = l.WaitCycles(5 * q).Now()
 	})
 	m.AddAgent(l)
 	m.RunQuanta(20)
 	l.Close()
 	if atQuanta != 3*q {
-		t.Errorf("WaitQuanta(3) returned at %d, want %d", atQuanta, 3*q)
+		t.Errorf("third Wait returned at %d, want %d", atQuanta, 3*q)
 	}
 	if atCycles < 9*q || atCycles > 10*q {
 		t.Errorf("WaitCycles returned at %d, want ~%d", atCycles, 9*q)
@@ -105,7 +91,8 @@ func TestPolicyReturnEarly(t *testing.T) {
 
 func TestCloseBeforeStartAndIdempotent(t *testing.T) {
 	l := New(func(l *Loop) {
-		for l.Wait() != nil {
+		for {
+			l.Wait()
 		}
 	})
 	l.Close()
@@ -122,10 +109,11 @@ func TestCloseFromAnotherAgentsTick(t *testing.T) {
 	ticks := 0
 	var loopDone bool
 	l := New(func(l *Loop) {
-		for l.Wait() != nil {
+		defer func() { loopDone = true }()
+		for {
+			l.Wait()
 			ticks++
 		}
-		loopDone = true
 	})
 	m.AddAgent(l)
 	closeAt, closedOnce := 3, false
@@ -164,4 +152,45 @@ func TestCloseFromOwnPolicy(t *testing.T) {
 	m.AddAgent(l)
 	m.RunQuanta(5) // must not deadlock
 	l.Close()
+}
+
+func TestCloseUnwindsParkedPolicy(t *testing.T) {
+	// Closing from outside a tick unwinds a policy parked in a nested
+	// WaitCycles: its deferred calls run (innermost first, seeing Closing),
+	// nothing after the wait does, and the goroutine is joined by the time
+	// Close returns — the reads below need no further synchronisation.
+	m := machine.New(machine.Config{Cores: 1})
+	var unwound []string
+	var closingSeen, resumed bool
+	var l *Loop
+	inner := func() {
+		defer func() {
+			unwound = append(unwound, "inner")
+			closingSeen = l.Closing()
+		}()
+		l.WaitCycles(100 * m.Config().QuantumCycles)
+		resumed = true
+	}
+	l = New(func(*Loop) {
+		defer func() { unwound = append(unwound, "outer") }()
+		l.Wait()
+		inner()
+		resumed = true
+	})
+	m.AddAgent(l)
+	m.RunQuanta(5)
+	if l.Closing() || len(unwound) != 0 {
+		t.Fatalf("before Close: Closing=%v unwound=%v", l.Closing(), unwound)
+	}
+	l.Close()
+	if len(unwound) != 2 || unwound[0] != "inner" || unwound[1] != "outer" {
+		t.Errorf("deferred calls ran as %v, want [inner outer]", unwound)
+	}
+	if !closingSeen {
+		t.Error("deferred call did not see Closing during the unwind")
+	}
+	if resumed {
+		t.Error("code after the parked Wait ran")
+	}
+	m.RunQuanta(2) // post-Close ticks are no-ops
 }

@@ -62,10 +62,6 @@ type Config struct {
 	// MinSamples is how many valid samples a server needs before it can be
 	// flagged (default Window): a cold window says nothing yet.
 	MinSamples int
-	// MPKIGate requires a candidate's windowed MPKI to reach this multiple
-	// of the fleet median before it can *enter* the contended set
-	// (default 1.0): high CPI without cache misses is not our contention.
-	MPKIGate float64
 	// Seed salts deterministic tie-breaks in the planner. The detector
 	// itself never draws randomness; the seed is part of the decision
 	// tuple only so equal-measure ties resolve reproducibly.
@@ -98,11 +94,13 @@ func (c Config) WithDefaults() Config {
 	if c.MinSamples <= 0 || c.MinSamples > c.Window {
 		c.MinSamples = c.Window
 	}
-	if c.MPKIGate <= 0 {
-		c.MPKIGate = 1.0
-	}
 	return c
 }
+
+// mpkiGate requires a candidate's windowed MPKI to reach this multiple of
+// the fleet median before it can *enter* the contended set: high CPI
+// without cache misses is not our contention.
+const mpkiGate = 1.0
 
 // State is one server's detector view after an Observe call.
 type State struct {
@@ -286,7 +284,7 @@ func (d *Detector) Observe(samples []Sample) []bool {
 			continue
 		}
 		switch {
-		case !st.Contended && st.Score >= d.enter && st.MPKI >= d.cfg.MPKIGate*d.medMPKI:
+		case !st.Contended && st.Score >= d.enter && st.MPKI >= mpkiGate*d.medMPKI:
 			st.Contended = true
 			st.Cooldown = d.cfg.Cooldown
 			st.FlippedAt = d.epoch

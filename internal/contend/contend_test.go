@@ -22,7 +22,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Window != 4 || c.Quantile != 0.75 || c.Enter != 1.25 || c.Exit != 1.05 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	if c.Cooldown != 2 || c.MinSamples != 4 || c.MPKIGate != 1.0 {
+	if c.Cooldown != 2 || c.MinSamples != 4 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// An inverted band clamps Exit to Enter rather than inverting.

@@ -11,7 +11,7 @@
 // through a virtualized edge.
 //
 // Asynchrony is modeled in simulated time: a compile job occupies the
-// runtime for a configurable number of simulated cycles (the LLVM backend's
+// runtime for a fixed number of simulated cycles (the LLVM backend's
 // ~5 ms per function). When the runtime shares the host's core, those
 // cycles are stolen from the host (Figure 6's "same core" case); on a
 // separate core they only consume otherwise-idle cycles (Figure 5).
@@ -57,15 +57,6 @@ type Config struct {
 	// share the host's core (compiles then steal host cycles). Using a
 	// separate core requires it to be otherwise idle.
 	RuntimeCore int
-	// CompileCycles is the simulated cost of compiling one function
-	// (default: 4 ms of simulated time).
-	CompileCycles uint64
-	// SampleInterval is the PC sampling period in cycles (default: 1 ms).
-	SampleInterval uint64
-	// MonitorCyclesPerTick accounts the monitoring cost (PC sample +
-	// counter reads) attributed to the runtime each sampling period
-	// (default 30; the paper's monitoring is sub-1%).
-	MonitorCyclesPerTick uint64
 	// CompileFault, when non-nil, is consulted as each compile job
 	// completes; a non-nil error fails the job (after it has burned its
 	// modeled latency) instead of producing a variant. The job sequence
@@ -79,19 +70,18 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-func (cfg Config) withDefaults() Config {
-	ms := uint64(cfg.Machine.Config().FreqHz / 1000)
-	if cfg.CompileCycles == 0 {
-		cfg.CompileCycles = 4 * ms
-	}
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = ms
-	}
-	if cfg.MonitorCyclesPerTick == 0 {
-		cfg.MonitorCyclesPerTick = 30
-	}
-	return cfg
-}
+// Fixed runtime constants (tabulated in DESIGN §4).
+const (
+	// compileMs is the simulated cost of compiling one function, in
+	// milliseconds of simulated time (the LLVM backend's ~5 ms).
+	compileMs = 4
+	// sampleMs is the PC sampling period in milliseconds of simulated time.
+	sampleMs = 1
+	// monitorCyclesPerSample accounts the monitoring cost (PC sample +
+	// counter reads) attributed to the runtime each sampling period; the
+	// paper's monitoring is sub-1%.
+	monitorCyclesPerSample = 30
+)
 
 // Transform rewrites the cloned embedded IR before a variant is lowered.
 // It runs against a private clone, so it may mutate freely. Returning an
@@ -129,6 +119,9 @@ type Runtime struct {
 	m    *machine.Machine
 	host *machine.Process
 	cfg  Config
+	// compileCost and sampleInterval are compileMs and sampleMs in cycles
+	// of the machine's clock.
+	compileCost, sampleInterval uint64
 
 	baseIR  *ir.Module
 	sampler *sampling.PCSampler
@@ -174,16 +167,18 @@ func New(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: attach to %q: %w", host.Name(), err)
 	}
-	cfg = cfg.withDefaults()
+	ms := uint64(m.Config().FreqHz / 1000)
 	rt := &Runtime{
-		m:          m,
-		host:       host,
-		cfg:        cfg,
-		baseIR:     baseIR,
-		sampler:    sampling.NewPCSampler(host, cfg.SampleInterval),
-		variants:   make(map[string][]*Variant),
-		dispatched: make(map[string]*Variant),
-		nextID:     1,
+		m:              m,
+		host:           host,
+		cfg:            cfg,
+		compileCost:    compileMs * ms,
+		sampleInterval: sampleMs * ms,
+		baseIR:         baseIR,
+		sampler:        sampling.NewPCSampler(host, sampleMs*ms),
+		variants:       make(map[string][]*Variant),
+		dispatched:     make(map[string]*Variant),
+		nextID:         1,
 	}
 	rt.tel = cfg.Telemetry
 	rt.cCompiles = rt.tel.Counter("core", "compiles_total", "compile jobs completed successfully")
@@ -220,9 +215,9 @@ func (rt *Runtime) Tick(m *machine.Machine) {
 	}
 	rt.sampler.Tick(m)
 	now := m.Now()
-	if now-rt.lastSample >= rt.cfg.SampleInterval {
-		rt.monitorCycles += rt.cfg.MonitorCyclesPerTick
-		rt.cMonitorCycles.Add(rt.cfg.MonitorCyclesPerTick)
+	if now-rt.lastSample >= rt.sampleInterval {
+		rt.monitorCycles += monitorCyclesPerSample
+		rt.cMonitorCycles.Add(monitorCyclesPerSample)
 		rt.lastSample = now
 	}
 	for len(rt.jobs) > 0 && rt.jobs[0].finishAt <= now {
@@ -251,7 +246,7 @@ func (rt *Runtime) Tick(m *machine.Machine) {
 func (rt *Runtime) PendingJobs() int { return len(rt.jobs) }
 
 // RequestVariant queues an asynchronous compile of fn's IR under transform.
-// The compile occupies the runtime compiler for CompileCycles of simulated
+// The compile occupies the runtime compiler for compileMs of simulated
 // time (stealing host cycles in same-core mode); when it completes, the
 // variant is installed into the code cache and onDone is invoked (nil
 // Variant on error). The host continues executing throughout.
@@ -267,13 +262,13 @@ func (rt *Runtime) RequestVariant(fn string, transform Transform, meta any, onDo
 	if rt.busyUntil > start {
 		start = rt.busyUntil
 	}
-	finish := start + rt.cfg.CompileCycles
+	finish := start + rt.compileCost
 	rt.busyUntil = finish
-	rt.compileCycles += rt.cfg.CompileCycles
-	rt.cCompileCycles.Add(rt.cfg.CompileCycles)
+	rt.compileCycles += rt.compileCost
+	rt.cCompileCycles.Add(rt.compileCost)
 	rt.compiles++
 	if rt.cfg.RuntimeCore == SameCore {
-		rt.host.StealCycles(rt.cfg.CompileCycles)
+		rt.host.StealCycles(rt.compileCost)
 	}
 	seq := rt.jobSeq
 	rt.jobSeq++
@@ -414,15 +409,6 @@ func (rt *Runtime) Dispatches() uint64 { return rt.dispatches }
 // variants have been installed into the host's code cache.
 func (rt *Runtime) CodeCacheWords() int {
 	return rt.host.CodeCursor() - len(rt.host.Binary().Program.Code)
-}
-
-// VariantCount returns how many variants exist across all functions.
-func (rt *Runtime) VariantCount() int {
-	n := 0
-	for _, vs := range rt.variants {
-		n += len(vs)
-	}
-	return n
 }
 
 // CyclesUsed returns the runtime's total consumed cycles (compiler plus

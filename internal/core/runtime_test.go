@@ -366,7 +366,7 @@ func TestCycleAccounting(t *testing.T) {
 	rt.RequestVariant("hot", Identity, nil, nil)
 	m.RunQuanta(10)
 	withCompile := rt.CyclesUsed()
-	if withCompile < monOnly+rt.cfg.CompileCycles {
+	if withCompile < monOnly+rt.compileCost {
 		t.Errorf("compile cycles unaccounted: %d -> %d", monOnly, withCompile)
 	}
 	frac := rt.ServerCycleFraction()

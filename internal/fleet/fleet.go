@@ -118,9 +118,6 @@ type Config struct {
 	PhaseSpreadSeconds float64
 	// MaxSites caps PC3D's search (0 = full search).
 	MaxSites int
-	// Scale supplies the power-model constants (default
-	// datacenter.DefaultScale()).
-	Scale datacenter.ScaleConfig
 	// Chaos enables deterministic fault injection: server crashes with
 	// scheduler re-placement, protean-runtime crashes (supervised
 	// recovery), compile failures and QoS-sensor dropouts. Nil injects
@@ -176,9 +173,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MeasureSeconds == 0 {
 		c.MeasureSeconds = 1
-	}
-	if c.Scale.BaseServers == 0 {
-		c.Scale = datacenter.DefaultScale()
 	}
 	if c.Chaos != nil {
 		ch := c.Chaos.WithDefaults()
@@ -248,7 +242,6 @@ func (c Config) validate() error {
 			seconds{"Migration.WindowSeconds", mg.WindowSeconds, quantumSeconds},
 			seconds{"Migration.BlackoutSeconds", mg.BlackoutSeconds, 0},
 			seconds{"Migration.RetryBackoffSeconds", mg.RetryBackoffSeconds, 0},
-			seconds{"Migration.RetryBackoffCapSeconds", mg.RetryBackoffCapSeconds, 0},
 			seconds{"Migration.RollbackPenaltySeconds", mg.RollbackPenaltySeconds, 0})
 	}
 	if c.SLO != nil {
@@ -860,6 +853,7 @@ func (f *Fleet) aggregate(results []ServerResult, plan chaosPlan) Metrics {
 	availSum := 0.0
 	perAppN := make(map[string]int)
 	fleetPower, ncPower := 0.0, 0.0
+	scale := datacenter.DefaultScale() // the paper's power-model constants
 	hQoS := f.tel.Histogram("fleet", "server_qos", "per-server webservice QoS", []float64{0.5, 0.8, 0.9, 0.95, 0.99, 1})
 	hUtil := f.tel.Histogram("fleet", "server_utilization", "per-server batch utilization", []float64{0.25, 0.5, 0.75, 0.9, 1})
 	for _, r := range results {
@@ -875,7 +869,7 @@ func (f *Fleet) aggregate(results []ServerResult, plan chaosPlan) Metrics {
 				degU = append(degU, r.Utilization)
 			}
 		}
-		wsPart := cfg.Scale.WebserviceUtil * r.Load
+		wsPart := scale.WebserviceUtil * r.Load
 		u := 0.0
 		if r.App != "" {
 			utils = append(utils, r.Utilization)
@@ -885,8 +879,8 @@ func (f *Fleet) aggregate(results []ServerResult, plan chaosPlan) Metrics {
 			u = math.Min(r.Utilization, 1)
 			mt.BatchUnits += u
 		}
-		fleetPower += datacenter.Power(cfg.Scale, wsPart+(1-cfg.Scale.WebserviceUtil)*u)
-		ncPower += datacenter.Power(cfg.Scale, wsPart) + u*datacenter.Power(cfg.Scale, 1)
+		fleetPower += datacenter.Power(scale, wsPart+(1-scale.WebserviceUtil)*u)
+		ncPower += datacenter.Power(scale, wsPart) + u*datacenter.Power(scale, 1)
 	}
 	for app, n := range perAppN {
 		mt.PerApp[app] /= float64(n)

@@ -64,10 +64,9 @@ type MigrationConfig struct {
 	// rolls back to its source.
 	MaxLandAttempts int
 	// RetryBackoffSeconds is the extra blackout charged before each retry
-	// landing, doubling per attempt up to RetryBackoffCapSeconds
-	// (defaults BlackoutSeconds/2 and 2·BlackoutSeconds).
-	RetryBackoffSeconds    float64
-	RetryBackoffCapSeconds float64
+	// landing, doubling per attempt up to retryBackoffCapBlackouts
+	// (default BlackoutSeconds/2).
+	RetryBackoffSeconds float64
 	// RollbackPenaltySeconds is the extra blackout charged when a move
 	// rolls back to its source (default BlackoutSeconds).
 	RollbackPenaltySeconds float64
@@ -92,9 +91,6 @@ func (mc MigrationConfig) withDefaults(c Config) MigrationConfig {
 	if mc.RetryBackoffSeconds <= 0 {
 		mc.RetryBackoffSeconds = mc.BlackoutSeconds / 2
 	}
-	if mc.RetryBackoffCapSeconds <= 0 {
-		mc.RetryBackoffCapSeconds = 2 * mc.BlackoutSeconds
-	}
 	if mc.RollbackPenaltySeconds <= 0 {
 		mc.RollbackPenaltySeconds = mc.BlackoutSeconds
 	}
@@ -105,6 +101,10 @@ func (mc MigrationConfig) withDefaults(c Config) MigrationConfig {
 	mc.Breaker = mc.Breaker.WithDefaults()
 	return mc
 }
+
+// retryBackoffCapBlackouts caps the doubling retry backoff, in multiples of
+// BlackoutSeconds.
+const retryBackoffCapBlackouts = 2
 
 // Move outcomes recorded in MoveRecord.Outcome.
 const (
@@ -519,7 +519,7 @@ func (g *migrator) executeMove(mv contend.Move, epoch int, t float64, spDecide t
 	if ch != nil {
 		dur += ch.MoveStallSeconds(mv.From, seq)
 	}
-	backoff := mc.RetryBackoffSeconds
+	backoff, backoffCap := mc.RetryBackoffSeconds, retryBackoffCapBlackouts*mc.BlackoutSeconds
 	dst := mv.To
 	for attempt := 1; ; attempt++ {
 		rec.Attempts = attempt
@@ -554,8 +554,8 @@ func (g *migrator) executeMove(mv contend.Move, epoch int, t float64, spDecide t
 		dur += backoff
 		g.f.tel.EndSpan(spR, g.cyc(t+dur))
 		g.cRetry.Inc()
-		if backoff *= 2; backoff > mc.RetryBackoffCapSeconds {
-			backoff = mc.RetryBackoffCapSeconds
+		if backoff *= 2; backoff > backoffCap {
+			backoff = backoffCap
 		}
 		dst = next
 	}

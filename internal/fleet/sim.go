@@ -206,7 +206,7 @@ func (s *serverSim) attachBatch(a string) error {
 			return phase.Signature{Rate: solo}
 		}
 	} else {
-		tq := qos.NewThroughputQoS(m, ws, gen, 0)
+		tq := qos.NewThroughputQoS(m, ws, gen)
 		s.gate(tq)
 		src = tq
 		win = &qos.ThroughputWindow{Proc: ws, Gen: gen}
@@ -241,7 +241,7 @@ func (s *serverSim) attachBatch(a string) error {
 		s.sup = sup
 		s.gate(sup)
 	case SystemReQoS:
-		s.gate(reqos.New(host, src, reqos.Options{Target: cfg.Target}))
+		s.gate(reqos.New(reqos.Config{Host: host, Source: src, Target: cfg.Target}))
 	case SystemNone:
 		// Co-location with no mitigation.
 	}

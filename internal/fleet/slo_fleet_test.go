@@ -202,7 +202,7 @@ func TestBoostBudget(t *testing.T) {
 		Rules: []slo.BurnRule{{LongEpochs: 1, ShortEpochs: 1, Burn: 1}},
 	}})
 	f.sloObs = &sloObserver{
-		sc:  SLOConfig{BoostBudget: 2, BoostSpec: "qos-attainment"},
+		sc:  SLOConfig{BoostBudget: 2},
 		eng: eng,
 	}
 	if f.boostBudget() != 0 {

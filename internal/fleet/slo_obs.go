@@ -40,24 +40,23 @@ type SLOConfig struct {
 	WindowSeconds float64
 	// Specs are the SLOs to evaluate (nil = DefaultSLOSpecs()).
 	Specs []slo.Spec
-	// TSDB sizes the time-series store.
-	TSDB tsdb.Config
 	// BoostBudget, when > 0 with Migration on, raises the per-epoch
-	// migration budget by this many extra moves while the BoostSpec alert
+	// migration budget by this many extra moves while the boostSpec alert
 	// is firing — the control loop reacting harder while QoS burns.
 	BoostBudget int
-	// BoostSpec names the spec whose firing state gates the boost
-	// (default "qos-attainment").
-	BoostSpec string
-	// RecorderCap bounds the flight recorder (default 16 bundles).
-	RecorderCap int
-	// TraceTailEvents is how many merged trace events a postmortem bundle
-	// freezes (default 64).
-	TraceTailEvents int
-	// WindowEpochs is the trailing tsdb window a bundle freezes
-	// (default 32).
-	WindowEpochs int
 }
+
+// Fixed SLO-layer constants (tabulated in DESIGN §4). The time-series store
+// and the flight recorder run at their packages' default sizes.
+const (
+	// boostSpec names the spec whose firing state gates the boost.
+	boostSpec = "qos-attainment"
+	// traceTailEvents is how many merged trace events a postmortem bundle
+	// freezes.
+	traceTailEvents = 64
+	// bundleWindowEpochs is the trailing tsdb window a bundle freezes.
+	bundleWindowEpochs = 32
+)
 
 func (sc SLOConfig) withDefaults(c Config) SLOConfig {
 	if c.Migration != nil {
@@ -68,18 +67,6 @@ func (sc SLOConfig) withDefaults(c Config) SLOConfig {
 	}
 	if sc.Specs == nil {
 		sc.Specs = DefaultSLOSpecs()
-	}
-	if sc.BoostSpec == "" {
-		sc.BoostSpec = "qos-attainment"
-	}
-	if sc.RecorderCap <= 0 {
-		sc.RecorderCap = slo.DefaultRecorderCap
-	}
-	if sc.TraceTailEvents <= 0 {
-		sc.TraceTailEvents = 64
-	}
-	if sc.WindowEpochs <= 0 {
-		sc.WindowEpochs = 32
 	}
 	return sc
 }
@@ -185,8 +172,8 @@ func (f *Fleet) newSLOObserver(sims []*serverSim, horizon float64) *sloObserver 
 	quantaPerEpoch := sc.WindowSeconds * mcfg.FreqHz / float64(mcfg.QuantumCycles)
 	o := &sloObserver{
 		f: f, sc: sc, sims: sims, horizon: horizon,
-		db:             tsdb.New(sc.TSDB),
-		rec:            slo.NewRecorder(sc.RecorderCap),
+		db:             tsdb.New(tsdb.Config{}),
+		rec:            slo.NewRecorder(slo.DefaultRecorderCap),
 		lastWS:         make([]machine.Counters, len(sims)),
 		lastOff:        make([]uint64, len(sims)),
 		capacityQuanta: quantaPerEpoch * float64(len(sims)),
@@ -205,7 +192,7 @@ func (f *Fleet) newSLOObserver(sims []*serverSim, horizon float64) *sloObserver 
 // real control loop could react.
 func (f *Fleet) boostBudget() int {
 	o := f.sloObs
-	if o == nil || o.sc.BoostBudget <= 0 || !o.eng.Firing(o.sc.BoostSpec) {
+	if o == nil || o.sc.BoostBudget <= 0 || !o.eng.Firing(boostSpec) {
 		return 0
 	}
 	return o.sc.BoostBudget
@@ -337,7 +324,7 @@ func (o *sloObserver) export(name string) string {
 
 func (o *sloObserver) tsdbWindowJSON() string {
 	var b strings.Builder
-	o.db.WriteWindowJSON(&b, o.sc.WindowEpochs) //nolint:errcheck // strings.Builder never errors
+	o.db.WriteWindowJSON(&b, bundleWindowEpochs) //nolint:errcheck // strings.Builder never errors
 	return b.String()
 }
 
@@ -345,7 +332,7 @@ func (o *sloObserver) tsdbWindowJSON() string {
 // server indexes, stable-sorted by cycle stamp (concat order — fleet first,
 // then servers in index order — breaks ties), and keeps the tail.
 func (o *sloObserver) traceTailJSON() string {
-	n := o.sc.TraceTailEvents
+	const n = traceTailEvents
 	var all []telemetry.Event
 	all = append(all, o.f.tel.EventsTail(n)...)
 	for i, reg := range o.f.serverTel {

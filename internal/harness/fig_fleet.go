@@ -9,9 +9,10 @@ import (
 
 // FleetComparison pits the measured small-fleet simulation against the
 // closed-form Figure 17/18 projection for one (webservice, mix) pair.
-// Both routes extrapolate to cfg.Scale.BaseServers machines; the analytic
-// side derives mean utilization from the harness's memoized pair runs,
-// the measured side from a real concurrently-simulated fleet.
+// Both routes extrapolate to datacenter.DefaultScale().BaseServers
+// machines; the analytic side derives mean utilization from the harness's
+// memoized pair runs, the measured side from a real concurrently-simulated
+// fleet.
 type FleetComparison struct {
 	Webservice string
 	Mix        string
@@ -69,7 +70,6 @@ func (r *Runner) FleetCompare(webservice string, mix datacenter.Mix) (FleetCompa
 		SettleSeconds:  r.sc.SettleSeconds,
 		MeasureSeconds: r.sc.MeasureSeconds,
 		MaxSites:       r.sc.MaxSites,
-		Scale:          scale,
 	})
 	if err != nil {
 		return FleetComparison{}, err

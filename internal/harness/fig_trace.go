@@ -71,7 +71,7 @@ func (r *Runner) runTrace(system System, samples int) ([]traceSample, *telemetry
 
 	gen := loadgen.NewGenerator(ws, loadgen.Figure16(r.sc.TraceSeconds), capacity)
 	m.AddAgent(gen)
-	tq := qos.NewThroughputQoS(m, ws, gen, 0)
+	tq := qos.NewThroughputQoS(m, ws, gen)
 	m.AddAgent(tq)
 
 	var rt *core.Runtime
@@ -92,7 +92,7 @@ func (r *Runner) runTrace(system System, samples int) ([]traceSample, *telemetry
 		defer ctrl.Close()
 		m.AddAgent(ctrl)
 	case SystemReQoS:
-		m.AddAgent(reqos.New(host, tq, reqos.Options{Target: 0.95}))
+		m.AddAgent(reqos.New(reqos.Config{Host: host, Source: tq, Target: 0.95}))
 	default:
 		return nil, nil, fmt.Errorf("harness: trace experiment supports PC3D and ReQoS, not %v", system)
 	}

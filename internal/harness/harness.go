@@ -13,6 +13,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -87,6 +88,27 @@ func BenchScale() Scale {
 		TraceSeconds: 30, StressSeconds: 0.5, MaxSites: 6, Hosts: 2, Exts: 2, SPECApps: 4,
 		Targets: []float64{0.95},
 	}
+}
+
+// validate rejects the durations a co-location run would turn into
+// nonsense instead of failing: Machine.RunSeconds converts a negative, NaN
+// or infinite duration to a single quantum, and a zero window divides the
+// rates it measures by zero.
+func (sc Scale) validate() error {
+	for _, d := range []struct {
+		name, want string
+		v          float64
+		ok         bool
+	}{
+		{"SoloSeconds", "positive", sc.SoloSeconds, sc.SoloSeconds > 0},
+		{"SettleSeconds", "non-negative", sc.SettleSeconds, sc.SettleSeconds >= 0},
+		{"MeasureSeconds", "positive", sc.MeasureSeconds, sc.MeasureSeconds > 0},
+	} {
+		if !d.ok || math.IsInf(d.v, 1) {
+			return fmt.Errorf("harness: %s = %v, want a finite %s duration", d.name, d.v, d.want)
+		}
+	}
+	return nil
 }
 
 func (sc Scale) targets() []float64 {
@@ -272,8 +294,16 @@ func (r *Runner) runSolo(name string) (SoloRates, error) {
 // RunPair executes one co-location experiment: ext (high priority, plain)
 // on core 0, host on core 1, the protean runtime (PC3D only) on core 2.
 // Results are memoized per (host, ext, system, target) with in-flight
-// deduplication.
+// deduplication. A target outside (0, 1] is an error (NaN would also defeat
+// the memo: it never equals itself as a map key), as is a scale the run
+// cannot honour (Scale.validate).
 func (r *Runner) RunPair(host, ext string, system System, target float64) (PairResult, error) {
+	if !(target > 0 && target <= 1) {
+		return PairResult{}, fmt.Errorf("harness: QoS target %v outside (0, 1]", target)
+	}
+	if err := r.sc.validate(); err != nil {
+		return PairResult{}, err
+	}
 	key := pairKey{host: host, ext: ext, system: system, target: target}
 	r.mu.Lock()
 	c := r.pairs[key]
@@ -338,7 +368,7 @@ func (r *Runner) runPair(host, ext string, system System, target float64) (PairR
 		defer ctrl.Close()
 		m.AddAgent(ctrl)
 	case SystemReQoS:
-		m.AddAgent(reqos.New(hp, flux, reqos.Options{Target: target}))
+		m.AddAgent(reqos.New(reqos.Config{Host: hp, Source: flux, Target: target}))
 	case SystemNone:
 		// No mitigation.
 	}

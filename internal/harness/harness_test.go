@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -201,6 +203,56 @@ func TestRunPairPC3DAndFigure7(t *testing.T) {
 		frac := parsePct(t, row[1])
 		if frac <= 0 || frac > 0.05 {
 			t.Errorf("%s: runtime fraction %s", row[0], row[1])
+		}
+	}
+}
+
+// TestRunPairRejectsNonsense: a QoS target outside (0, 1] or a duration the
+// machine cannot run (cmd/pc3d -measure 0 would report "+Inf% of solo
+// throughput") is an error before any calibration or process attach.
+func TestRunPairRejectsNonsense(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Scale)
+		target float64
+		want   string
+	}{
+		{"target zero", nil, 0, "QoS target"},
+		{"target above one", nil, 7, "QoS target"},
+		{"target negative", nil, -0.5, "QoS target"},
+		{"target NaN", nil, nan, "QoS target"},
+		{"measure zero", func(sc *Scale) { sc.MeasureSeconds = 0 }, 0.95, "MeasureSeconds"},
+		{"measure NaN", func(sc *Scale) { sc.MeasureSeconds = nan }, 0.95, "MeasureSeconds"},
+		{"measure infinite", func(sc *Scale) { sc.MeasureSeconds = inf }, 0.95, "MeasureSeconds"},
+		{"settle negative", func(sc *Scale) { sc.SettleSeconds = -1 }, 0.95, "SettleSeconds"},
+		{"settle NaN", func(sc *Scale) { sc.SettleSeconds = nan }, 0.95, "SettleSeconds"},
+		{"settle infinite", func(sc *Scale) { sc.SettleSeconds = inf }, 0.95, "SettleSeconds"},
+		{"solo zero", func(sc *Scale) { sc.SoloSeconds = 0 }, 0.95, "SoloSeconds"},
+		{"solo negative", func(sc *Scale) { sc.SoloSeconds = -2 }, 0.95, "SoloSeconds"},
+	} {
+		sc := BenchScale()
+		if tc.mutate != nil {
+			tc.mutate(&sc)
+		}
+		r := NewRunner(sc)
+		_, err := r.RunPair("libquantum", "web-search", SystemPC3D, tc.target)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
+		if strings.Contains(fmt.Sprint(err), "\n") {
+			t.Errorf("%s: error spans lines: %q", tc.name, err)
+		}
+		if s, p := r.soloRuns.Load(), r.pairRuns.Load(); s != 0 || p != 0 || len(r.pairs) != 0 {
+			t.Errorf("%s: %d solo runs, %d pair runs, %d memo cells; want none", tc.name, s, p, len(r.pairs))
+		}
+	}
+	// A zero settle is legal: validate accepts it (and every stock scale).
+	zero := BenchScale()
+	zero.SettleSeconds = 0
+	for _, sc := range []Scale{zero, BenchScale(), QuickScale(), FullScale()} {
+		if err := sc.validate(); err != nil {
+			t.Errorf("%s scale (settle %v): %v", sc.Name, sc.SettleSeconds, err)
 		}
 	}
 }

@@ -12,20 +12,16 @@ type Config struct {
 	// Virtualize decides whether call edges to callee are lowered through
 	// the EVT. nil lowers every call directly (a plain, non-protean binary).
 	Virtualize func(m *ir.Module, callee *ir.Function) bool
-	// PageSize aligns global placement; 0 defaults to 4096.
-	PageSize uint64
 }
+
+// page is the alignment of global placement, in bytes.
+const page uint64 = 4096
 
 // Lower compiles a finalized module to a Program.
 func Lower(m *ir.Module, cfg Config) (*Program, error) {
 	if err := m.Verify(); err != nil {
 		return nil, fmt.Errorf("isa: lower %q: %w", m.Name, err)
 	}
-	page := cfg.PageSize
-	if page == 0 {
-		page = 4096
-	}
-
 	p := &Program{Name: m.Name, NumLoads: m.NumLoads}
 
 	// Place globals page-aligned starting one page in (address 0 stays

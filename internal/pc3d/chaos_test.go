@@ -2,6 +2,7 @@ package pc3d
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/qos"
 	"repro/internal/supervise"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -47,13 +49,14 @@ func buildBareRig(t testing.TB, extName, hostName string) *rig {
 // never endangered by the recovery itself.
 func TestSupervisedCrashMidSearch(t *testing.T) {
 	r := buildBareRig(t, "er-naive", "libquantum")
+	reg := telemetry.New(telemetry.Config{})
 	var ctrls []*Controller
 	build := func() (*supervise.Session, error) {
-		rt, err := core.New(core.Config{Machine: r.m, Host: r.host, RuntimeCore: 2})
+		rt, err := core.New(core.Config{Machine: r.m, Host: r.host, RuntimeCore: 2, Telemetry: reg})
 		if err != nil {
 			return nil, err
 		}
-		ctrl := New(Config{Runtime: rt, Steady: r.flux, Window: &qos.FluxWindow{Flux: r.flux, Ext: r.ext}, ExtSig: extSigFromFlux(r.flux), Target: 0.95})
+		ctrl := New(Config{Runtime: rt, Steady: r.flux, Window: &qos.FluxWindow{Flux: r.flux, Ext: r.ext}, ExtSig: extSigFromFlux(r.flux), Target: 0.95, Telemetry: reg})
 		ctrls = append(ctrls, ctrl)
 		return &supervise.Session{Runtime: rt, Policy: ctrl, Close: ctrl.Close}, nil
 	}
@@ -92,6 +95,48 @@ func TestSupervisedCrashMidSearch(t *testing.T) {
 	}
 	if sup.Stats().RevertedSlots == 0 {
 		t.Error("recovery reverted no slots despite a dispatched variant")
+	}
+	// The reap unwound the policy from the Wait it was parked in; by now its
+	// goroutine is joined. The operations it was in the middle of — the
+	// search and the all-hints variant evaluation that dispatched — stay
+	// open as one parent chain (the "what was in flight" record a postmortem
+	// shows), and everything that finished earlier, the no-hints evaluation
+	// and all its probes, is closed.
+	open := map[telemetry.SpanID]bool{}
+	for _, sp := range reg.OpenSpans() {
+		open[sp.ID] = true
+	}
+	recorded, inFlight := map[string]int{}, map[string]int{}
+	var lastEval telemetry.Span
+	for _, sp := range reg.Spans() {
+		if !strings.HasPrefix(sp.Name, "pc3d.") {
+			continue
+		}
+		recorded[sp.Name]++
+		if sp.Name == "pc3d.variant_eval" {
+			lastEval = sp
+		}
+		if open[sp.ID] {
+			inFlight[sp.Name]++
+			if sp.Parent != 0 && !open[sp.Parent] {
+				t.Errorf("open span %s(%d) has a closed parent %d", sp.Name, sp.ID, sp.Parent)
+			}
+		}
+	}
+	if recorded["pc3d.search"] != 1 || inFlight["pc3d.search"] != 1 {
+		t.Errorf("search spans: %d recorded, %d open; want the one in-flight search left open", recorded["pc3d.search"], inFlight["pc3d.search"])
+	}
+	if recorded["pc3d.variant_eval"] != 2 || inFlight["pc3d.variant_eval"] != 1 || !open[lastEval.ID] {
+		t.Errorf("variant_eval spans: %d recorded, %d open (last open: %v); want the first closed, the second in flight",
+			recorded["pc3d.variant_eval"], inFlight["pc3d.variant_eval"], open[lastEval.ID])
+	}
+	for _, sp := range reg.Spans() {
+		if strings.HasPrefix(sp.Name, "pc3d.") && sp.Start < lastEval.Start && sp.Name != "pc3d.search" && open[sp.ID] {
+			t.Errorf("span %s(%d) from before the in-flight evaluation is still open", sp.Name, sp.ID)
+		}
+	}
+	if reg.SpanParent() != 0 {
+		t.Errorf("ambient span parent %d left set by the unwound policy", reg.SpanParent())
 	}
 
 	// The host keeps executing, and the recovery window itself must not

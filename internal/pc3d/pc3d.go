@@ -40,28 +40,8 @@ type Config struct {
 	// ExtSig produces the external app's phase signature each check
 	// (progress rate and, when available, hot-code vector). Optional.
 	ExtSig func(m *machine.Machine) phase.Signature
-	// Target is the co-runner QoS target (e.g. 0.95).
+	// Target is the co-runner QoS target (default 0.95).
 	Target float64
-	// WarmupCycles precede the first decision (profile + solo estimates
-	// must exist). Default 200 ms.
-	WarmupCycles uint64
-	// SettleCycles follow every dispatch or nap change before measuring,
-	// covering the co-runner's cache re-warm transient. Default 150 ms.
-	SettleCycles uint64
-	// WindowCycles is the measurement window of one nap-intensity probe in
-	// Algorithm 2. It must dominate the co-runner's re-warm time (the
-	// scaled simulation re-warms a multi-MiB set in ~10^6 cycles).
-	// Default 150 ms.
-	WindowCycles uint64
-	// NapTolerance ends the binary search when the nap bracket is this
-	// tight. Default 0.1.
-	NapTolerance float64
-	// CheckCycles is the steady-state monitoring period. Default 200 ms.
-	CheckCycles uint64
-	// AdjustStep is the nap feedback step outside searches. Default 0.05.
-	AdjustStep float64
-	// PhaseThreshold feeds the co-phase detectors (0 = default).
-	PhaseThreshold float64
 	// MaxSites caps the number of load sites searched (0 = all). The paper
 	// searches all surviving sites; the cap exists for scaled-down bench
 	// runs.
@@ -71,13 +51,6 @@ type Config struct {
 	// greedy pass never terminates early on a collapsed bracket. Ablation
 	// only; the paper's search always reuses bounds.
 	NoBoundsReuse bool
-	// CompileRetries is how many times a failed compile of one variant is
-	// retried (with exponential backoff) before the function is skipped for
-	// that mask. Default 3.
-	CompileRetries int
-	// CompileBackoffCycles is the wait before the first compile retry,
-	// doubling per attempt. Default 8 ms.
-	CompileBackoffCycles uint64
 	// Trace, when non-nil, receives search-decision log lines.
 	Trace func(format string, args ...any)
 	// Telemetry receives the controller's counters (searches, probes,
@@ -86,37 +59,34 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-func (cfg Config) withDefaults(m *machine.Machine) Config {
-	ms := uint64(m.Config().FreqHz / 1000)
-	if cfg.Target == 0 {
-		cfg.Target = 0.95
-	}
-	if cfg.WarmupCycles == 0 {
-		cfg.WarmupCycles = 200 * ms
-	}
-	if cfg.SettleCycles == 0 {
-		cfg.SettleCycles = 150 * ms
-	}
-	if cfg.WindowCycles == 0 {
-		cfg.WindowCycles = 150 * ms
-	}
-	if cfg.NapTolerance == 0 {
-		cfg.NapTolerance = 0.1
-	}
-	if cfg.CheckCycles == 0 {
-		cfg.CheckCycles = 200 * ms
-	}
-	if cfg.AdjustStep == 0 {
-		cfg.AdjustStep = 0.05
-	}
-	if cfg.CompileRetries == 0 {
-		cfg.CompileRetries = 3
-	}
-	if cfg.CompileBackoffCycles == 0 {
-		cfg.CompileBackoffCycles = 8 * ms
-	}
-	return cfg
-}
+// Fixed policy constants (tabulated in DESIGN §4). Durations are
+// milliseconds of simulated time.
+const (
+	// warmupMs precedes the first decision (profile + solo estimates must
+	// exist).
+	warmupMs = 200
+	// settleMs follows every dispatch or nap change before measuring,
+	// covering the co-runner's cache re-warm transient.
+	settleMs = 150
+	// windowMs is the measurement window of one nap-intensity probe in
+	// Algorithm 2. It must dominate the co-runner's re-warm time (the
+	// scaled simulation re-warms a multi-MiB set in ~10^6 cycles).
+	windowMs = 150
+	// napTolerance ends the binary search when the nap bracket is this
+	// tight.
+	napTolerance = 0.1
+	// checkMs is the steady-state monitoring period.
+	checkMs = 200
+	// adjustStep is the nap feedback step outside searches.
+	adjustStep = 0.05
+	// compileRetries is how many times a failed compile of one variant is
+	// retried (with exponential backoff) before the function is skipped for
+	// that mask.
+	compileRetries = 3
+	// compileBackoffMs is the wait before the first compile retry, doubling
+	// per attempt.
+	compileBackoffMs = 8
+)
 
 // Stats expose controller activity for the evaluation harness.
 type Stats struct {
@@ -152,6 +122,7 @@ type Controller struct {
 	cfg    Config
 
 	loop    *agentloop.Loop
+	m       *machine.Machine // set at the policy's first tick
 	space   SearchSpace
 	cophase *phase.CoPhase
 	extSig  func(m *machine.Machine) phase.Signature
@@ -182,6 +153,9 @@ type Controller struct {
 // New builds a controller from cfg. cfg.Runtime must already be attached
 // to the host and registered on the machine.
 func New(cfg Config) *Controller {
+	if cfg.Target == 0 {
+		cfg.Target = 0.95
+	}
 	c := &Controller{
 		rt:        cfg.Runtime,
 		host:      cfg.Runtime.Host(),
@@ -238,21 +212,23 @@ func (c *Controller) maskSet() []int {
 	return ids
 }
 
-// policy is the sequential decision loop (runs on the agentloop goroutine).
-func (c *Controller) policy(l *agentloop.Loop) {
-	m := l.Wait()
-	if m == nil {
-		return
-	}
-	opts := c.cfg.withDefaults(m)
-	c.cfg = opts
-	if m = l.WaitCycles(opts.WarmupCycles); m == nil {
-		return
-	}
-	c.hostMeter.Read(m) // baseline
+// wait parks the policy for at least ms milliseconds of simulated time.
+// Closing the controller unwinds the policy from here (agentloop.Loop.Wait),
+// so no caller checks for shutdown.
+func (c *Controller) wait(ms uint64) {
+	c.loop.WaitCycles(ms * uint64(c.m.Config().FreqHz/1000))
+}
 
+// policy is the sequential decision loop (runs on the agentloop goroutine
+// until Close unwinds it).
+func (c *Controller) policy(l *agentloop.Loop) {
+	c.m = l.Wait()
+	c.wait(warmupMs)
+	c.hostMeter.Read(c.m) // baseline
+
+	target := c.cfg.Target
 	for {
-		if c.observePhases(m) {
+		if c.observePhases() {
 			// Co-phase change: revert to original code at full speed and
 			// re-evaluate from scratch (Section V-D's dynamic behaviour).
 			// The extra settle lets the co-runner's cache state and the
@@ -264,9 +240,7 @@ func (c *Controller) policy(l *agentloop.Loop) {
 			c.violations = 0
 			c.setMaskOriginal()
 			c.setNap(0)
-			if m = l.WaitCycles(2 * opts.CheckCycles); m == nil {
-				return
-			}
+			c.wait(2 * checkMs)
 		}
 		q, ok := c.steady.QoS()
 		if ok && (math.IsNaN(q) || math.IsInf(q, 0)) {
@@ -274,32 +248,32 @@ func (c *Controller) policy(l *agentloop.Loop) {
 			// dropout rather than propagating NaN into nap arithmetic.
 			c.stats.SensorDropouts++
 			c.cDropouts.Inc()
-			c.tel.Emit(telemetry.Event{At: m.Now(), Kind: telemetry.EvSensorDropout})
+			c.tel.Emit(telemetry.Event{At: c.m.Now(), Kind: telemetry.EvSensorDropout})
 			ok = false
 		}
-		if ok && q >= opts.Target {
+		if ok && q >= target {
 			c.violations = 0
 		}
-		if ok && q < opts.Target {
+		if ok && q < target {
 			c.cViolations.Inc()
-			c.tel.Emit(telemetry.Event{At: m.Now(), Kind: telemetry.EvQoSViolation, Value: q})
+			c.tel.Emit(telemetry.Event{At: c.m.Now(), Kind: telemetry.EvQoSViolation, Value: q})
 		}
 		switch {
 		case !ok:
 			// No estimate (warming up, or the sensor went dark): hold the
 			// last safe nap and mask; decisions resume on fresh data.
-		case q >= opts.Target && c.host.NapIntensity() > 0 && !c.searched:
+		case q >= target && c.host.NapIntensity() > 0 && !c.searched:
 			// Headroom before any search: relax the nap.
-			c.setNap(c.host.NapIntensity() - opts.AdjustStep)
-		case q >= opts.Target+0.04 && c.host.NapIntensity() > c.napFloor:
+			c.setNap(c.host.NapIntensity() - adjustStep)
+		case q >= target+0.04 && c.host.NapIntensity() > c.napFloor:
 			// Clear headroom after a search: relax gently toward the
 			// search's converged nap, never below it.
-			next := c.host.NapIntensity() - opts.AdjustStep/2
+			next := c.host.NapIntensity() - adjustStep/2
 			if next < c.napFloor {
 				next = c.napFloor
 			}
 			c.setNap(next)
-		case q >= opts.Target:
+		case q >= target:
 			// Target met: hold.
 		case !c.searched:
 			// QoS violated in this co-phase. Isolated sub-target readings
@@ -308,40 +282,36 @@ func (c *Controller) policy(l *agentloop.Loop) {
 			// consecutive readings commit to the (expensive) search.
 			c.violations++
 			if c.violations >= 3 {
-				if m = c.runSearch(l, m); m == nil {
-					return
-				}
+				c.runSearch()
 			}
 		default:
 			// QoS violated after a search settled: feedback the nap up —
 			// capped below 1 so the host always trickles progress and its
 			// phase signature stays observable.
-			next := c.host.NapIntensity() + opts.AdjustStep
+			next := c.host.NapIntensity() + adjustStep
 			if next > 0.98 {
 				next = 0.98
 			}
 			c.setNap(next)
 		}
-		if m = l.WaitCycles(opts.CheckCycles); m == nil {
-			return
-		}
+		c.wait(checkMs)
 	}
 }
 
 // observePhases feeds host and external signatures to the co-phase
 // detector.
-func (c *Controller) observePhases(m *machine.Machine) bool {
+func (c *Controller) observePhases() bool {
 	changed := false
 	hostProf := c.rt.Sampler().Window()
 	c.rt.Sampler().ResetWindow()
 	if hostProf.Total() > 0 {
 		sig := phase.Signature{Hot: hostProf.Normalized()}
-		if c.cophase.Observe("host", sig, c.cfg.PhaseThreshold) {
+		if c.cophase.Observe("host", sig) {
 			changed = true
 		}
 	}
 	if c.extSig != nil {
-		if c.cophase.Observe("ext", c.extSig(m), c.cfg.PhaseThreshold) {
+		if c.cophase.Observe("ext", c.extSig(c.m)) {
 			changed = true
 		}
 	}
@@ -352,25 +322,25 @@ func (c *Controller) observePhases(m *machine.Machine) bool {
 // A co-phase change mid-search aborts it: measurements from different
 // phases are not comparable, so the controller reverts to original code
 // and lets the monitoring loop re-decide in the new phase.
-func (c *Controller) runSearch(l *agentloop.Loop, m *machine.Machine) *machine.Machine {
+func (c *Controller) runSearch() {
 	c.stats.Searches++
 	c.cSearches.Inc()
 	c.searched = true
 
 	// The search span roots one causal tree: every variant_eval (and the
 	// probes and compiles underneath) parents into it via the registry's
-	// ambient parent. Left open if the machine shuts down mid-search.
-	sp := c.tel.StartSpan("pc3d.search", m.Now(), 0)
+	// ambient parent. Left open if the controller is closed mid-search.
+	sp := c.tel.StartSpan("pc3d.search", c.m.Now(), 0)
 	prevParent := c.tel.SetSpanParent(sp)
 	defer func() {
 		c.tel.SetSpanParent(prevParent)
-		if m != nil {
-			c.tel.EndSpan(sp, m.Now())
+		if !c.loop.Closing() {
+			c.tel.EndSpan(sp, c.m.Now())
 		}
 	}()
 
-	aborted := func(m *machine.Machine) bool {
-		if !c.observePhases(m) {
+	aborted := func() bool {
+		if !c.observePhases() {
 			return false
 		}
 		c.stats.PhaseChanges++
@@ -395,15 +365,10 @@ func (c *Controller) runSearch(l *agentloop.Loop, m *machine.Machine) *machine.M
 	c.tel.SpanAttrs(sp, telemetry.Num("sites", float64(len(sites))))
 	if len(sites) == 0 {
 		// Nothing to transform: pure napping fallback.
-		nap, _, mm := c.variantEvalMask(l, m, nil, 0, 1)
-		if mm == nil {
-			m = nil
-			return nil
-		}
-		m = mm
+		nap, _ := c.variantEvalMask(nil, 0, 1)
 		c.setNap(nap)
 		c.napFloor = nap
-		return m
+		return
 	}
 
 	// Evaluate variant 0 (no hints) and variant 1 (all hints) to bound the
@@ -413,23 +378,13 @@ func (c *Controller) runSearch(l *agentloop.Loop, m *machine.Machine) *machine.M
 	for _, id := range sites {
 		mask1[id] = true
 	}
-	nap0, r0, m2 := c.variantEvalMask(l, m, mask0, 0, 1)
-	if m2 == nil {
-		m = nil
-		return nil
+	nap0, r0 := c.variantEvalMask(mask0, 0, 1)
+	if aborted() {
+		return
 	}
-	m = m2
-	if aborted(m) {
-		return m
-	}
-	nap1, r1, m3 := c.variantEvalMask(l, m, mask1, 0, 1)
-	if m3 == nil {
-		m = nil
-		return nil
-	}
-	m = m3
-	if aborted(m) {
-		return m
+	nap1, r1 := c.variantEvalMask(mask1, 0, 1)
+	if aborted() {
+		return
 	}
 	c.trace("search: %d sites, nap0=%.3f r0=%.0f nap1=%.3f r1=%.0f", len(sites), nap0, r0, nap1, r1)
 	napUB, napLB := nap0, nap1
@@ -456,14 +411,9 @@ func (c *Controller) runSearch(l *agentloop.Loop, m *machine.Machine) *machine.M
 			lb, ub = 0, 1
 		}
 		cur[id] = false
-		napM, rM, mm := c.variantEvalMask(l, m, cur, lb, ub)
-		if mm == nil {
-			m = nil
-			return nil
-		}
-		m = mm
-		if aborted(m) {
-			return m
+		napM, rM := c.variantEvalMask(cur, lb, ub)
+		if aborted() {
+			return
 		}
 		if bestR < rM {
 			c.trace("  flip %d: ACCEPT nap=%.3f bps=%.0f (best was %.0f)", id, napM, rM, bestR)
@@ -478,50 +428,43 @@ func (c *Controller) runSearch(l *agentloop.Loop, m *machine.Machine) *machine.M
 
 	c.trace("search done: mask=%d nap=%.3f bps=%.0f", len(maskIDs(best)), bestNap, bestR)
 	// Dispatch the winner and settle at its nap intensity.
-	if mm := c.applyMask(l, m, best); mm == nil {
-		m = nil
-		return nil
-	} else {
-		m = mm
-	}
+	c.applyMask(best)
 	c.tel.SpanAttrs(sp, telemetry.Num("best_mask", float64(len(maskIDs(best)))), telemetry.Num("best_nap", bestNap))
 	c.setNap(bestNap)
 	c.napFloor = bestNap
-	return m
 }
 
 // variantEvalMask is Algorithm 2: dispatch the variant for mask, then
 // binary-search the nap intensity within [napLB, napUB] for the lowest
 // value satisfying the QoS target, returning that nap and the host's BPS
 // there.
-func (c *Controller) variantEvalMask(l *agentloop.Loop, m *machine.Machine, mask map[int]bool, napLB, napUB float64) (nap, bps float64, out *machine.Machine) {
+func (c *Controller) variantEvalMask(mask map[int]bool, napLB, napUB float64) (nap, bps float64) {
 	c.stats.VariantEvals++
 	c.cEvals.Inc()
 	// The eval span nests under the search span (ambient parent) and in
 	// turn becomes the ambient parent of the compiles applyMask triggers.
-	sp := c.tel.StartSpan("pc3d.variant_eval", m.Now(), c.tel.SpanParent())
+	// Like the search span it stays open if the controller is closed
+	// mid-evaluation.
+	sp := c.tel.StartSpan("pc3d.variant_eval", c.m.Now(), c.tel.SpanParent())
 	c.tel.SpanAttrs(sp, telemetry.Num("mask_size", float64(len(maskIDs(mask)))))
 	prevParent := c.tel.SetSpanParent(sp)
 	defer func() {
 		c.tel.SetSpanParent(prevParent)
-		if out != nil {
+		if !c.loop.Closing() {
 			c.tel.SpanAttrs(sp, telemetry.Num("nap", nap), telemetry.Num("bps", bps))
-			c.tel.EndSpan(sp, out.Now())
+			c.tel.EndSpan(sp, c.m.Now())
 		}
 	}()
-	if m = c.applyMask(l, m, mask); m == nil {
-		return 0, 0, nil
-	}
-	lo, hi := napLB, napUB
-	bps = 0
-	measure := func(at float64) (float64, float64, bool) {
+	c.applyMask(mask)
+	// measure probes one nap intensity: the co-runner's QoS over a window
+	// and the host's BPS there.
+	measure := func(at float64) (float64, float64) {
+		m := c.m
 		psp := c.tel.StartSpan("pc3d.probe", m.Now(), sp)
 		c.tel.SpanAttrs(psp, telemetry.Num("nap", at))
 		c.setNap(at)
 		ssp := c.tel.StartSpan("pc3d.settle", m.Now(), psp)
-		if m = l.WaitCycles(c.cfg.SettleCycles); m == nil {
-			return 0, 0, false
-		}
+		c.wait(settleMs)
 		c.tel.EndSpan(ssp, m.Now())
 		// A dark or corrupted QoS sensor invalidates the window; re-measure
 		// up to three times before giving up on this probe.
@@ -529,9 +472,7 @@ func (c *Controller) variantEvalMask(l *agentloop.Loop, m *machine.Machine, mask
 			c.win.Mark(m)
 			c.hostMeter.Read(m)
 			wsp := c.tel.StartSpan("pc3d.window", m.Now(), psp)
-			if m = l.WaitCycles(c.cfg.WindowCycles); m == nil {
-				return 0, 0, false
-			}
+			c.wait(windowMs)
 			c.tel.EndSpan(wsp, m.Now())
 			q, qok := c.win.Score(m)
 			r := c.hostMeter.Read(m)
@@ -539,7 +480,7 @@ func (c *Controller) variantEvalMask(l *agentloop.Loop, m *machine.Machine, mask
 			c.cProbes.Inc()
 			if qok && !math.IsNaN(q) && !math.IsInf(q, 0) {
 				c.tel.EndSpan(psp, m.Now())
-				return q, r.BPS, true
+				return q, r.BPS
 			}
 			c.stats.SensorDropouts++
 			c.cDropouts.Inc()
@@ -549,18 +490,15 @@ func (c *Controller) variantEvalMask(l *agentloop.Loop, m *machine.Machine, mask
 				// that "misses QoS" drives the binary search toward more
 				// napping, which can never hurt the co-runner.
 				c.tel.EndSpan(psp, m.Now())
-				return -1, r.BPS, true
+				return -1, r.BPS
 			}
 		}
 	}
+	lo, hi := napLB, napUB
 	loRaised := false
-	for hi-lo > c.cfg.NapTolerance {
+	for hi-lo > napTolerance {
 		cur := (lo + hi) / 2
-		q, r, ok := measure(cur)
-		if !ok {
-			return 0, 0, nil
-		}
-		if q >= c.cfg.Target {
+		if q, r := measure(cur); q >= c.cfg.Target {
 			hi = cur
 			bps = r
 		} else {
@@ -573,32 +511,24 @@ func (c *Controller) variantEvalMask(l *agentloop.Loop, m *machine.Machine, mask
 		// floor itself (possibly zero nap). One extra probe resolves it —
 		// otherwise the tolerance would leave residual throttling on
 		// variants that need none.
-		q, r, ok := measure(lo)
-		if !ok {
-			return 0, 0, nil
-		}
-		if q >= c.cfg.Target {
-			return lo, r, m
+		if q, r := measure(lo); q >= c.cfg.Target {
+			return lo, r
 		}
 	}
 	if bps == 0 {
 		// Bracket collapsed without a satisfying measurement (or the
 		// window never met QoS): measure once at the upper bound.
-		q, r, ok := measure(hi)
-		if !ok {
-			return 0, 0, nil
-		}
-		if q >= c.cfg.Target {
+		if q, r := measure(hi); q >= c.cfg.Target {
 			bps = r
 		}
 	}
-	return hi, bps, m
+	return hi, bps
 }
 
 // applyMask makes the host execute the variant described by mask:
 // functions whose bits are all clear revert to original code; others get a
 // (cached or freshly compiled) variant dispatched.
-func (c *Controller) applyMask(l *agentloop.Loop, m *machine.Machine, mask map[int]bool) *machine.Machine {
+func (c *Controller) applyMask(mask map[int]bool) {
 	for _, fn := range c.space.Funcs() {
 		ids := c.funcSiteIDs(fn)
 		key := maskKey(fn, ids, mask)
@@ -631,18 +561,14 @@ func (c *Controller) applyMask(l *agentloop.Loop, m *machine.Machine, mask map[i
 		// that still fails keeps its current code for this mask — the
 		// search just measures the variant without that flip.
 		var got *core.Variant
-		backoff := c.cfg.CompileBackoffCycles
+		backoff := uint64(compileBackoffMs)
 		for attempt := 0; ; attempt++ {
-			v, cerr, mm := c.compileOnce(l, m, fn, mask, key)
-			if mm == nil {
-				return nil
-			}
-			m = mm
+			v, cerr := c.compileOnce(fn, mask, key)
 			if cerr == nil {
 				got = v
 				break
 			}
-			if attempt >= c.cfg.CompileRetries {
+			if attempt >= compileRetries {
 				c.stats.CompileFailures++
 				c.cFails.Inc()
 				c.trace("compile %s: giving up after %d attempts: %v", fn, attempt+1, cerr)
@@ -651,9 +577,7 @@ func (c *Controller) applyMask(l *agentloop.Loop, m *machine.Machine, mask map[i
 			c.stats.CompileRetries++
 			c.cRetries.Inc()
 			c.trace("compile %s failed (attempt %d): %v; retrying", fn, attempt+1, cerr)
-			if m = l.WaitCycles(backoff); m == nil {
-				return nil
-			}
+			c.wait(backoff)
 			backoff *= 2
 		}
 		if got == nil {
@@ -665,12 +589,10 @@ func (c *Controller) applyMask(l *agentloop.Loop, m *machine.Machine, mask map[i
 		}
 	}
 	c.mask = cloneMask(mask)
-	return m
 }
 
 // compileOnce requests one variant compile and waits for its callback.
-// Returns a nil machine when the loop is closing.
-func (c *Controller) compileOnce(l *agentloop.Loop, m *machine.Machine, fn string, mask map[int]bool, key string) (*core.Variant, error, *machine.Machine) {
+func (c *Controller) compileOnce(fn string, mask map[int]bool, key string) (*core.Variant, error) {
 	var got *core.Variant
 	var cerr error
 	done := false
@@ -678,14 +600,12 @@ func (c *Controller) compileOnce(l *agentloop.Loop, m *machine.Machine, fn strin
 		got, cerr, done = v, err, true
 	})
 	if err != nil {
-		return nil, err, m
+		return nil, err
 	}
 	for !done {
-		if m = l.Wait(); m == nil {
-			return nil, nil, nil
-		}
+		c.loop.Wait()
 	}
-	return got, cerr, m
+	return got, cerr
 }
 
 func (c *Controller) funcSiteIDs(fn string) []int {

@@ -248,7 +248,7 @@ func TestPC3DBeatsReQoSOnStreamingHost(t *testing.T) {
 
 	// ReQoS.
 	r2 := buildRig(t, "er-naive", "libquantum", target)
-	rq := reqos.New(r2.host, r2.flux, reqos.Options{Target: target})
+	rq := reqos.New(reqos.Config{Host: r2.host, Source: r2.flux, Target: target})
 	r2.m.AddAgent(rq)
 	r2.m.RunSeconds(8)
 	q2, u2 := r2.steadyState(t, 2)

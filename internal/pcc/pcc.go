@@ -59,8 +59,6 @@ type Options struct {
 	// Policy selects the virtualization policy; the zero value is the
 	// paper's MultiBlockCallees.
 	Policy EdgePolicy
-	// PageSize forwards to the code generator (0 = default).
-	PageSize uint64
 	// Optimize runs the static optimization pipeline (constant folding,
 	// jump threading, unreachable-code and dead-code elimination) before
 	// lowering and before the IR is embedded, so runtime-compiled variants
@@ -103,7 +101,7 @@ func Compile(m *ir.Module, opts Options) (*progbin.Binary, error) {
 			return nil, fmt.Errorf("pcc: optimized module invalid: %w", err)
 		}
 	}
-	cfg := isa.Config{PageSize: opts.PageSize}
+	var cfg isa.Config
 	if opts.Protean {
 		cfg.Virtualize = virtualizer(opts.Policy)
 	}

@@ -29,46 +29,29 @@ import (
 	"repro/internal/sampling"
 )
 
-// Options tune the optimizer.
-type Options struct {
-	// WarmupCycles precede profiling-based decisions (default 200 ms).
-	WarmupCycles uint64
-	// SettleCycles follow each dispatch before measuring (default 50 ms).
-	SettleCycles uint64
-	// WindowCycles is the BPS measurement window (default 100 ms).
-	WindowCycles uint64
+// Config configures the optimizer (consumed by New).
+type Config struct {
+	// Runtime is the attached protean runtime driving the host. Required.
+	Runtime *core.Runtime
 	// LeadIters are the candidate prefetch distances, in iterations ahead
 	// (default 4 and 16; lead bytes = iterations × stride).
 	LeadIters []int64
-	// MinGain is the relative BPS improvement required to keep a variant
-	// (default 0.03).
-	MinGain float64
 	// MaxFuncs bounds how many hot functions are optimized (default 3).
 	MaxFuncs int
 }
 
-func (o Options) withDefaults(m *machine.Machine) Options {
-	ms := uint64(m.Config().FreqHz / 1000)
-	if o.WarmupCycles == 0 {
-		o.WarmupCycles = 200 * ms
-	}
-	if o.SettleCycles == 0 {
-		o.SettleCycles = 50 * ms
-	}
-	if o.WindowCycles == 0 {
-		o.WindowCycles = 100 * ms
-	}
-	if len(o.LeadIters) == 0 {
-		o.LeadIters = []int64{4, 16}
-	}
-	if o.MinGain == 0 {
-		o.MinGain = 0.03
-	}
-	if o.MaxFuncs == 0 {
-		o.MaxFuncs = 3
-	}
-	return o
-}
+// Fixed policy constants (tabulated in DESIGN §4). Durations are
+// milliseconds of simulated time.
+const (
+	// warmupMs precedes profiling-based decisions.
+	warmupMs = 200
+	// settleMs follows each dispatch before measuring.
+	settleMs = 50
+	// windowMs is the BPS measurement window.
+	windowMs = 100
+	// minGain is the relative BPS improvement required to keep a variant.
+	minGain = 0.03
+)
 
 // Result records the outcome for one optimized function.
 type Result struct {
@@ -86,17 +69,25 @@ type Result struct {
 // Controller runs the optimization pass. It implements machine.Agent.
 type Controller struct {
 	rt   *core.Runtime
-	opts Options
+	cfg  Config
 	loop *agentloop.Loop
+	m    *machine.Machine // set at the policy's first tick
 
 	meter   *sampling.Meter
 	results []Result
 	done    bool
 }
 
-// New builds a controller over an attached runtime.
-func New(rt *core.Runtime, opts Options) *Controller {
-	c := &Controller{rt: rt, opts: opts, meter: sampling.NewMeter(rt.Host())}
+// New builds a controller over cfg.Runtime, which must already be attached
+// to the host and registered on the machine.
+func New(cfg Config) *Controller {
+	if len(cfg.LeadIters) == 0 {
+		cfg.LeadIters = []int64{4, 16}
+	}
+	if cfg.MaxFuncs == 0 {
+		cfg.MaxFuncs = 3
+	}
+	c := &Controller{rt: cfg.Runtime, cfg: cfg, meter: sampling.NewMeter(cfg.Runtime.Host())}
 	c.loop = agentloop.New(c.policy)
 	return c
 }
@@ -167,21 +158,21 @@ func leadPrefetchTransform(fn string, targets map[int]bool, iters int64) core.Tr
 	}
 }
 
-// policy is the sequential optimization pass.
+// wait parks the policy for at least ms milliseconds of simulated time.
+// Closing the controller unwinds the policy from here.
+func (c *Controller) wait(ms uint64) {
+	c.loop.WaitCycles(ms * uint64(c.m.Config().FreqHz/1000))
+}
+
+// policy is the sequential, one-shot optimization pass.
 func (c *Controller) policy(l *agentloop.Loop) {
-	m := l.Wait()
-	if m == nil {
-		return
-	}
-	c.opts = c.opts.withDefaults(m)
-	if m = l.WaitCycles(c.opts.WarmupCycles); m == nil {
-		return
-	}
+	c.m = l.Wait()
+	c.wait(warmupMs)
 
 	prof := c.rt.Sampler().Lifetime()
 	optimized := 0
 	for _, fn := range prof.Hottest() {
-		if optimized >= c.opts.MaxFuncs {
+		if optimized >= c.cfg.MaxFuncs {
 			break
 		}
 		ids := streamTargets(c.rt.IR(), fn)
@@ -194,32 +185,22 @@ func (c *Controller) policy(l *agentloop.Loop) {
 			targets[id] = true
 		}
 
-		baseline, ok := c.measureBPS(l, &m)
-		if !ok {
-			return
-		}
+		baseline := c.measureBPS()
 		res := Result{Func: fn, Targets: len(ids)}
 		var bestVariant *core.Variant
-		for _, iters := range c.opts.LeadIters {
-			v, ok := c.compileDispatch(l, &m, fn, targets, iters)
-			if !ok {
-				return
-			}
+		for _, iters := range c.cfg.LeadIters {
+			v := c.compileDispatch(fn, targets, iters)
 			if v == nil {
 				continue // compile failed; skip this candidate
 			}
-			bps, ok := c.measureBPS(l, &m)
-			if !ok {
-				return
-			}
-			gain := bps/baseline - 1
+			gain := c.measureBPS()/baseline - 1
 			if gain > res.Gain {
 				res.Gain = gain
 				res.LeadIters = iters
 				bestVariant = v
 			}
 		}
-		if res.Gain >= c.opts.MinGain && bestVariant != nil {
+		if res.Gain >= minGain && bestVariant != nil {
 			if c.rt.Dispatched(fn) != bestVariant {
 				if err := c.rt.Dispatch(bestVariant); err == nil {
 					res.Kept = true
@@ -238,48 +219,32 @@ func (c *Controller) policy(l *agentloop.Loop) {
 		c.results = append(c.results, res)
 	}
 	c.done = true
-	// Optimization is one-shot; keep absorbing ticks.
-	for l.Wait() != nil {
-	}
 }
 
 // measureBPS settles then measures the host's branches per second.
-func (c *Controller) measureBPS(l *agentloop.Loop, m **machine.Machine) (float64, bool) {
-	mm := l.WaitCycles(c.opts.SettleCycles)
-	if mm == nil {
-		return 0, false
-	}
-	c.meter.Read(mm)
-	mm = l.WaitCycles(c.opts.WindowCycles)
-	if mm == nil {
-		return 0, false
-	}
-	*m = mm
-	return c.meter.Read(mm).BPS, true
+func (c *Controller) measureBPS() float64 {
+	c.wait(settleMs)
+	c.meter.Read(c.m)
+	c.wait(windowMs)
+	return c.meter.Read(c.m).BPS
 }
 
-// compileDispatch requests, waits for, and dispatches one candidate.
-func (c *Controller) compileDispatch(l *agentloop.Loop, m **machine.Machine, fn string, targets map[int]bool, iters int64) (*core.Variant, bool) {
+// compileDispatch requests, waits for, and dispatches one candidate; nil
+// when the compile or the dispatch failed.
+func (c *Controller) compileDispatch(fn string, targets map[int]bool, iters int64) *core.Variant {
 	var got *core.Variant
 	var cerr error
-	doneFlag := false
+	done := false
 	err := c.rt.RequestVariant(fn, leadPrefetchTransform(fn, targets, iters), iters,
-		func(v *core.Variant, err error) { got, cerr, doneFlag = v, err, true })
+		func(v *core.Variant, err error) { got, cerr, done = v, err, true })
 	if err != nil {
-		return nil, true
+		return nil
 	}
-	for !doneFlag {
-		mm := l.Wait()
-		if mm == nil {
-			return nil, false
-		}
-		*m = mm
+	for !done {
+		c.loop.Wait()
 	}
-	if cerr != nil {
-		return nil, true
+	if cerr != nil || c.rt.Dispatch(got) != nil {
+		return nil
 	}
-	if err := c.rt.Dispatch(got); err != nil {
-		return nil, true
-	}
-	return got, true
+	return got
 }

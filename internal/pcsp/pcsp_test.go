@@ -110,7 +110,7 @@ func TestPCSPSpeedsUpStreamer(t *testing.T) {
 
 	// With PCSP.
 	m, p, rt := attach(t, "lbm")
-	ctrl := New(rt, Options{})
+	ctrl := New(Config{Runtime: rt})
 	defer ctrl.Close()
 	m.AddAgent(ctrl)
 	m.RunSeconds(3)
@@ -121,7 +121,7 @@ func TestPCSPSpeedsUpStreamer(t *testing.T) {
 	for _, r := range ctrl.Results() {
 		if r.Kept {
 			kept++
-			if r.LeadIters == 0 || r.Gain < ctrl.opts.MinGain {
+			if r.LeadIters == 0 || r.Gain < minGain {
 				t.Errorf("kept result inconsistent: %+v", r)
 			}
 		}
@@ -139,7 +139,7 @@ func TestPCSPSpeedsUpStreamer(t *testing.T) {
 
 func TestPCSPLeavesNonStreamersAlone(t *testing.T) {
 	m, _, rt := attach(t, "bst")
-	ctrl := New(rt, Options{})
+	ctrl := New(Config{Runtime: rt})
 	defer ctrl.Close()
 	m.AddAgent(ctrl)
 	m.RunSeconds(2)
@@ -161,7 +161,7 @@ func TestPCSPSameBinaryAsPC3D(t *testing.T) {
 	// Attach PCSP to a binary compiled once, then verify the original code
 	// still works after a full optimize cycle (dispatch + possible revert).
 	m, p, rt := attach(t, "libquantum")
-	ctrl := New(rt, Options{})
+	ctrl := New(Config{Runtime: rt})
 	defer ctrl.Close()
 	m.AddAgent(ctrl)
 	m.RunSeconds(3)

@@ -84,25 +84,20 @@ func (s Signature) String() string {
 	return b.String()
 }
 
+// threshold is the Distance above which a new signature is a new phase. It
+// tolerates sampling noise while catching hot-region shifts and large load
+// swings.
+const threshold = 0.35
+
 // Detector reports phase changes over a stream of signatures.
 type Detector struct {
-	// Threshold is the Distance above which a new signature is a new
-	// phase. The default (0.35) tolerates sampling noise while catching
-	// hot-region shifts and large load swings.
-	Threshold float64
-
 	current  Signature
 	hasPhase bool
 	changes  int
 }
 
-// NewDetector builds a detector; threshold <= 0 selects the default.
-func NewDetector(threshold float64) *Detector {
-	if threshold <= 0 {
-		threshold = 0.35
-	}
-	return &Detector{Threshold: threshold}
-}
+// NewDetector builds a detector.
+func NewDetector() *Detector { return &Detector{} }
 
 // Observe feeds one signature and reports whether it starts a new phase.
 // The first observation always starts a phase.
@@ -113,7 +108,7 @@ func (d *Detector) Observe(sig Signature) bool {
 		d.changes++
 		return true
 	}
-	if Distance(d.current, sig) > d.Threshold {
+	if Distance(d.current, sig) > threshold {
 		d.current = sig
 		d.changes++
 		return true
@@ -161,10 +156,10 @@ func NewCoPhase() *CoPhase {
 
 // Observe feeds program name's signature; it reports whether the co-phase
 // changed. Unknown names get a fresh detector (first observation = change).
-func (c *CoPhase) Observe(name string, sig Signature, threshold float64) bool {
+func (c *CoPhase) Observe(name string, sig Signature) bool {
 	d := c.detectors[name]
 	if d == nil {
-		d = NewDetector(threshold)
+		d = NewDetector()
 		c.detectors[name] = d
 	}
 	if d.Observe(sig) {

@@ -57,7 +57,7 @@ func TestDistanceProperties(t *testing.T) {
 }
 
 func TestDetectorFirstObservationIsPhase(t *testing.T) {
-	d := NewDetector(0)
+	d := NewDetector()
 	if !d.Observe(Signature{Hot: map[string]float64{"f": 1}, Rate: 1}) {
 		t.Error("first observation should start a phase")
 	}
@@ -67,7 +67,7 @@ func TestDetectorFirstObservationIsPhase(t *testing.T) {
 }
 
 func TestDetectorStablePhase(t *testing.T) {
-	d := NewDetector(0)
+	d := NewDetector()
 	base := Signature{Hot: map[string]float64{"f": 0.9, "g": 0.1}, Rate: 1.0}
 	d.Observe(base)
 	for i := 0; i < 50; i++ {
@@ -83,7 +83,7 @@ func TestDetectorStablePhase(t *testing.T) {
 }
 
 func TestDetectorCatchesHotShift(t *testing.T) {
-	d := NewDetector(0)
+	d := NewDetector()
 	d.Observe(Signature{Hot: map[string]float64{"f": 1}, Rate: 1})
 	if !d.Observe(Signature{Hot: map[string]float64{"g": 1}, Rate: 1}) {
 		t.Error("complete hot-region shift not detected")
@@ -91,7 +91,7 @@ func TestDetectorCatchesHotShift(t *testing.T) {
 }
 
 func TestDetectorCatchesLoadSwing(t *testing.T) {
-	d := NewDetector(0)
+	d := NewDetector()
 	d.Observe(Signature{Hot: map[string]float64{"serve": 1}, Rate: 0.2})
 	if !d.Observe(Signature{Hot: map[string]float64{"serve": 1}, Rate: 0.9}) {
 		t.Error("large rate swing not detected")
@@ -99,7 +99,7 @@ func TestDetectorCatchesLoadSwing(t *testing.T) {
 }
 
 func TestDetectorDriftTracksSlowTrend(t *testing.T) {
-	d := NewDetector(0)
+	d := NewDetector()
 	rate := 1.0
 	d.Observe(Signature{Hot: map[string]float64{"f": 1}, Rate: rate})
 	// Rate creeps up 1% per observation; drift should absorb it.
@@ -112,7 +112,7 @@ func TestDetectorDriftTracksSlowTrend(t *testing.T) {
 }
 
 func TestDetectorReset(t *testing.T) {
-	d := NewDetector(0)
+	d := NewDetector()
 	d.Observe(Signature{Hot: map[string]float64{"f": 1}, Rate: 1})
 	d.Reset()
 	if _, ok := d.Current(); ok {
@@ -127,26 +127,26 @@ func TestCoPhase(t *testing.T) {
 	c := NewCoPhase()
 	host := Signature{Hot: map[string]float64{"f": 1}, Rate: 1}
 	ext := Signature{Hot: map[string]float64{"serve": 1}, Rate: 0.5}
-	if !c.Observe("host", host, 0) {
+	if !c.Observe("host", host) {
 		t.Error("first host observation should change co-phase")
 	}
-	if !c.Observe("ext", ext, 0) {
+	if !c.Observe("ext", ext) {
 		t.Error("first external observation should change co-phase")
 	}
-	if c.Observe("host", host, 0) || c.Observe("ext", ext, 0) {
+	if c.Observe("host", host) || c.Observe("ext", ext) {
 		t.Error("stable signatures changed co-phase")
 	}
 	// External load swing changes the co-phase even with host stable.
 	ext2 := ext
 	ext2.Rate = 2.0
-	if !c.Observe("ext", ext2, 0) {
+	if !c.Observe("ext", ext2) {
 		t.Error("external swing did not change co-phase")
 	}
 	if c.Changes() != 3 {
 		t.Errorf("Changes = %d, want 3", c.Changes())
 	}
 	c.Forget("ext")
-	if !c.Observe("ext", ext2, 0) {
+	if !c.Observe("ext", ext2) {
 		t.Error("observation after Forget should change co-phase")
 	}
 }

@@ -161,7 +161,7 @@ func (f *FluxMonitor) Probes() int { return f.probes }
 type ThroughputQoS struct {
 	proc *machine.Process
 	gen  *loadgen.Generator
-	// WindowCycles is the measurement window (default 100 ms).
+	// WindowCycles is the measurement window.
 	WindowCycles uint64
 
 	windowEnd   uint64
@@ -171,12 +171,13 @@ type ThroughputQoS struct {
 	haveQoS     bool
 }
 
+// throughputWindowMs is ThroughputQoS's measurement window in milliseconds
+// of simulated time.
+const throughputWindowMs = 100
+
 // NewThroughputQoS monitors proc fed by gen.
-func NewThroughputQoS(m *machine.Machine, proc *machine.Process, gen *loadgen.Generator, windowCycles uint64) *ThroughputQoS {
-	if windowCycles == 0 {
-		windowCycles = 100 * uint64(m.Config().FreqHz/1000)
-	}
-	return &ThroughputQoS{proc: proc, gen: gen, WindowCycles: windowCycles}
+func NewThroughputQoS(m *machine.Machine, proc *machine.Process, gen *loadgen.Generator) *ThroughputQoS {
+	return &ThroughputQoS{proc: proc, gen: gen, WindowCycles: throughputWindowMs * uint64(m.Config().FreqHz/1000)}
 }
 
 // Tick closes measurement windows.

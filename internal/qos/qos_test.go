@@ -153,7 +153,7 @@ func TestThroughputQoS(t *testing.T) {
 			}
 		}
 		gen := loadgen.NewGenerator(p, loadgen.Constant(load), capacity)
-		tq := NewThroughputQoS(m, p, gen, 0)
+		tq := NewThroughputQoS(m, p, gen)
 		m.AddAgent(gen)
 		m.AddAgent(tq)
 		m.RunSeconds(3)

@@ -14,88 +14,73 @@ import (
 	"repro/internal/qos"
 )
 
-// Options tune the reactive controller.
-type Options struct {
-	// Target is the co-runner QoS target.
+// Config configures the reactive controller (consumed by New).
+type Config struct {
+	// Host is the low-priority process to throttle. Required.
+	Host *machine.Process
+	// Source yields the co-runner's QoS. Required.
+	Source qos.Source
+	// Target is the co-runner QoS target (default 0.95).
 	Target float64
-	// CheckCycles is the reaction period; it should match the QoS
-	// source's update rate so each reaction sees a fresh estimate
-	// (default 400 ms, the flux monitor's period).
-	CheckCycles uint64
-	// Gain scales the nap increase per unit of QoS deficit (default 1.0).
-	Gain float64
-	// StepDown is the nap relaxation step when QoS has headroom
-	// (default 0.02).
-	StepDown float64
-	// Headroom above target before relaxing (default 0.02).
-	Headroom float64
 }
 
-func (o Options) withDefaults(m *machine.Machine) Options {
-	if o.Target == 0 {
-		o.Target = 0.95
-	}
-	if o.CheckCycles == 0 {
-		o.CheckCycles = 400 * uint64(m.Config().FreqHz/1000)
-	}
-	if o.Gain == 0 {
-		o.Gain = 1.0
-	}
-	if o.StepDown == 0 {
-		o.StepDown = 0.02
-	}
-	if o.Headroom == 0 {
-		o.Headroom = 0.02
-	}
-	return o
-}
+// Fixed policy constants (tabulated in DESIGN §4).
+const (
+	// checkMs is the reaction period in milliseconds of simulated time; it
+	// matches the QoS source's update rate (the flux monitor's period) so
+	// each reaction sees a fresh estimate.
+	checkMs = 400
+	// gain scales the nap increase per unit of QoS deficit.
+	gain = 1.0
+	// stepDown is the nap relaxation step when QoS has headroom.
+	stepDown = 0.02
+	// headroom above target before relaxing.
+	headroom = 0.02
+)
 
 // Controller reactively adjusts the host's nap intensity to keep the
 // co-runner at its QoS target. It implements machine.Agent.
 type Controller struct {
-	host *machine.Process
-	src  qos.Source
-	opts Options
+	cfg Config
 
-	initialized bool
 	nextCheck   uint64
 	adjustments int
 }
 
-// New builds a controller over the host, reading QoS from src.
-func New(host *machine.Process, src qos.Source, opts Options) *Controller {
-	return &Controller{host: host, src: src, opts: opts}
+// New builds a controller throttling cfg.Host on QoS read from cfg.Source.
+func New(cfg Config) *Controller {
+	if cfg.Target == 0 {
+		cfg.Target = 0.95
+	}
+	return &Controller{cfg: cfg}
 }
 
 // Tick applies one reactive step per check period.
 func (c *Controller) Tick(m *machine.Machine) {
-	if !c.initialized {
-		c.opts = c.opts.withDefaults(m)
-		c.initialized = true
-	}
 	now := m.Now()
 	if now < c.nextCheck {
 		return
 	}
-	c.nextCheck = now + c.opts.CheckCycles
-	q, ok := c.src.QoS()
+	c.nextCheck = now + checkMs*uint64(m.Config().FreqHz/1000)
+	q, ok := c.cfg.Source.QoS()
 	if !ok {
 		return
 	}
-	nap := c.host.NapIntensity()
+	host, target := c.cfg.Host, c.cfg.Target
+	nap := host.NapIntensity()
 	switch {
-	case q < c.opts.Target:
-		deficit := c.opts.Target - q
-		c.host.SetNapIntensity(nap + deficit*c.opts.Gain)
+	case q < target:
+		deficit := target - q
+		host.SetNapIntensity(nap + deficit*gain)
 		c.adjustments++
-	case q > c.opts.Target+c.opts.Headroom && nap > 0:
-		step := c.opts.StepDown
+	case q > target+headroom && nap > 0:
+		step := stepDown
 		if q >= 0.99 {
 			// Saturated QoS gives no gradient; relax aggressively to
 			// rediscover the constraint (load may have dropped away).
 			step *= 8
 		}
-		c.host.SetNapIntensity(nap - step)
+		host.SetNapIntensity(nap - step)
 		c.adjustments++
 	}
 }

@@ -49,7 +49,7 @@ func colocate(t *testing.T, host string) (*machine.Machine, *machine.Process, *m
 func TestReQoSProtectsQoS(t *testing.T) {
 	m, host, ext, flux := colocate(t, "lbm")
 	ref := flux.ReferenceIPS
-	c := New(host, flux, Options{Target: 0.9})
+	c := New(Config{Host: host, Source: flux, Target: 0.9})
 	m.AddAgent(c)
 	m.RunSeconds(6) // converge
 	e0 := ext.Counters()
@@ -68,7 +68,7 @@ func TestReQoSProtectsQoS(t *testing.T) {
 
 func TestReQoSRelaxesWhenGentle(t *testing.T) {
 	m, host, _, flux := colocate(t, "bzip2")
-	c := New(host, flux, Options{Target: 0.6})
+	c := New(Config{Host: host, Source: flux, Target: 0.6})
 	m.AddAgent(c)
 	m.RunSeconds(6)
 	if host.NapIntensity() > 0.1 {
@@ -78,7 +78,7 @@ func TestReQoSRelaxesWhenGentle(t *testing.T) {
 
 func TestReQoSNapRecoversAfterTransient(t *testing.T) {
 	m, host, _, flux := colocate(t, "lbm")
-	c := New(host, flux, Options{Target: 0.9})
+	c := New(Config{Host: host, Source: flux, Target: 0.9})
 	m.AddAgent(c)
 	m.RunSeconds(6)
 	converged := host.NapIntensity()
@@ -95,7 +95,7 @@ func TestReQoSNapRecoversAfterTransient(t *testing.T) {
 func TestReQoSNoQoSSourceNoAction(t *testing.T) {
 	m, host, _, _ := colocate(t, "lbm")
 	src := staticSource{}
-	c := New(host, src, Options{Target: 0.9})
+	c := New(Config{Host: host, Source: src, Target: 0.9})
 	m.AddAgent(c)
 	m.RunSeconds(1)
 	if host.NapIntensity() != 0 || c.Adjustments() != 0 {

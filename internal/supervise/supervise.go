@@ -54,16 +54,10 @@ type Config struct {
 	// per quantum with the current cycle, a true return kills the live
 	// runtime (e.g. faults.Chaos.RuntimeCrashFn).
 	CrashFn func(nowCycles uint64) bool
-	// BackoffSeconds is the delay before the first re-attach after a crash
-	// (default 0.05 simulated seconds).
-	BackoffSeconds float64
-	// BackoffMaxSeconds caps the exponential growth (default 1.0).
-	BackoffMaxSeconds float64
-	// BackoffResetSeconds: when a session survives this long, the backoff
-	// resets to BackoffSeconds (default 2.0). Shorter-lived sessions keep
-	// doubling it, so a crash loop converges to one restart per
+	// BackoffMaxSeconds caps the re-attach backoff's exponential growth
+	// (default 1.0): a crash loop converges to one restart per
 	// BackoffMaxSeconds.
-	BackoffResetSeconds float64
+	BackoffMaxSeconds float64
 	// Trace, when non-nil, receives supervision events.
 	Trace func(format string, args ...any)
 	// Telemetry receives supervision counters (reaps, restarts, reverted
@@ -72,18 +66,14 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.BackoffSeconds == 0 {
-		cfg.BackoffSeconds = 0.05
-	}
-	if cfg.BackoffMaxSeconds == 0 {
-		cfg.BackoffMaxSeconds = 1.0
-	}
-	if cfg.BackoffResetSeconds == 0 {
-		cfg.BackoffResetSeconds = 2.0
-	}
-	return cfg
-}
+// Fixed supervision constants (tabulated in DESIGN §4), in simulated seconds.
+const (
+	// backoffSeconds is the delay before the first re-attach after a crash.
+	backoffSeconds = 0.05
+	// backoffResetSeconds: when a session survives this long, the backoff
+	// resets to backoffSeconds. Shorter-lived sessions keep doubling it.
+	backoffResetSeconds = 2.0
+)
 
 // Stats expose supervision activity.
 type Stats struct {
@@ -135,7 +125,9 @@ func New(m *machine.Machine, host *machine.Process, build Builder, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.BackoffMaxSeconds == 0 {
+		cfg.BackoffMaxSeconds = 1.0
+	}
 	s := &Supervisor{
 		m:     m,
 		host:  host,
@@ -143,7 +135,7 @@ func New(m *machine.Machine, host *machine.Process, build Builder, cfg Config) (
 		cfg:   cfg,
 		sess:  sess,
 	}
-	s.backoff = m.Cycles(cfg.BackoffSeconds)
+	s.backoff = m.Cycles(backoffSeconds)
 	s.tel = cfg.Telemetry
 	s.cReaps = s.tel.Counter("supervise", "reaps_total", "dead runtimes reaped (EVT reverted)")
 	s.cRestarts = s.tel.Counter("supervise", "restarts_total", "successful runtime re-attaches")
@@ -151,7 +143,7 @@ func New(m *machine.Machine, host *machine.Process, build Builder, cfg Config) (
 	s.cReverted = s.tel.Counter("supervise", "reverted_slots_total", "EVT slots pointed back at static code during recovery")
 	s.gBackoff = s.tel.Gauge("supervise", "backoff_seconds", "next re-attach backoff delay")
 	s.gHealthy = s.tel.Gauge("supervise", "healthy", "1 while a non-crashed session is live")
-	s.gBackoff.Set(cfg.BackoffSeconds)
+	s.gBackoff.Set(backoffSeconds)
 	s.gHealthy.Set(1)
 	return s, nil
 }
@@ -214,8 +206,8 @@ func (s *Supervisor) reap(m *machine.Machine) {
 	s.cReverted.Add(uint64(reverted))
 	// A session that lived long enough proves the crash isn't a loop;
 	// start the next backoff sequence fresh.
-	if m.Now()-s.sessionStart >= m.Cycles(s.cfg.BackoffResetSeconds) {
-		s.backoff = m.Cycles(s.cfg.BackoffSeconds)
+	if m.Now()-s.sessionStart >= m.Cycles(backoffResetSeconds) {
+		s.backoff = m.Cycles(backoffSeconds)
 	}
 	s.sess = nil
 	s.retryAt = m.Now() + s.backoff

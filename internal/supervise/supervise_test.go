@@ -45,7 +45,8 @@ func hostProc(t testing.TB) (*machine.Machine, *machine.Process) {
 }
 
 // dispatchPolicy compiles an all-hints variant of "hot", dispatches it, and
-// idles. Each incarnation bumps *dispatches when its dispatch lands.
+// returns (the loop absorbs later ticks). A session reaped while its compile
+// is pending is unwound from the Wait. Each incarnation bumps *dispatches when its dispatch lands.
 func dispatchPolicy(t *testing.T, rt *core.Runtime, dispatches *int) *Session {
 	t.Helper()
 	loop := agentloop.New(func(l *agentloop.Loop) {
@@ -61,9 +62,7 @@ func dispatchPolicy(t *testing.T, rt *core.Runtime, dispatches *int) *Session {
 			return // crashed before we got started
 		}
 		for !done {
-			if l.Wait() == nil {
-				return
-			}
+			l.Wait()
 		}
 		if v == nil {
 			return
@@ -72,8 +71,6 @@ func dispatchPolicy(t *testing.T, rt *core.Runtime, dispatches *int) *Session {
 			return
 		}
 		*dispatches++
-		for l.Wait() != nil {
-		}
 	})
 	return &Session{
 		Runtime: rt,

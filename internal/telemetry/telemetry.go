@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -573,4 +574,22 @@ func (r *Registry) PrometheusText() string {
 	var b strings.Builder
 	r.WritePrometheus(&b) //nolint:errcheck // strings.Builder never errors
 	return b.String()
+}
+
+// WriteExport runs one of the export writers (WritePrometheus, WriteJSONL,
+// WriteChromeTrace, a profile writer) against the file at path, with "-"
+// meaning stdout. A failed write still closes the file.
+func WriteExport(path string, write func(w io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -15,19 +15,23 @@
 #   soak       chaos attacking the migration machinery, figchaosmigrate
 #   slo        crash-heavy migration soak under the SLO engine, an SLO-only
 #              run with crashes (no migration), figslo
+#   paper      every cmd/experiments artifact (Table I-Figure 18, fig17sim,
+#              figtimeline, figspans and the four fleet figures) from one
+#              bench-scale run sharing one memoising Runner: the single-server
+#              PC3D/ReQoS policy layer the fleet groups barely touch
 #
 # Environment: WORKERS (default 1), ENGINE (default: the machine default).
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	echo "usage: $0 <outdir> [chaos|migration|soak|slo]..." >&2
+	echo "usage: $0 <outdir> [chaos|migration|soak|slo|paper]..." >&2
 	exit 2
 fi
 mkdir -p "$1"
 out=$(cd "$1" && pwd)
 shift
 groups=("$@")
-[ ${#groups[@]} -gt 0 ] || groups=(chaos migration soak slo)
+[ ${#groups[@]} -gt 0 ] || groups=(chaos migration soak slo paper)
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 bin=$(mktemp -d)
@@ -97,6 +101,10 @@ for g in "${groups[@]}"; do
 			-metrics sloonly.prom -trace sloonly.jsonl -alerts-out sloonly.a.json \
 			-tsdb-out sloonly.t.json -postmortem-dir sloonly.pm
 		fig figslo
+		;;
+	paper)
+		"$bin/experiments" -scale bench "${common[@]}" |
+			grep -v 'done in' >all.txt
 		;;
 	*)
 		echo "corpus.sh: unknown group '$g'" >&2
