@@ -9,7 +9,10 @@
 // exerts without (much) hurting itself, exactly the lever PC3D searches over.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // NTPolicy selects how a level treats non-temporal fills.
 type NTPolicy int
@@ -88,12 +91,14 @@ func (s Stats) Sub(prev Stats) Stats {
 // Cache is one set-associative level. Not safe for concurrent use; the
 // machine is single-threaded by design.
 //
-// Line state is stored structure-of-arrays (parallel tag/stamp/owner
-// slices indexed way-major within each set, with the valid bit folded into
-// the tag word) rather than as a slice of line structs: the hit scan — the
-// hottest loop in the whole simulator — then reads a contiguous run of
-// eight or sixteen tag words, one or two host cache lines, instead of
-// striding through 32-byte structs.
+// Line state is stored structure-of-arrays (parallel tag/owner slices
+// indexed way-major within each set, with the valid bit folded into the tag
+// word) rather than as a slice of line structs: the hit scan — the hottest
+// loop in the whole simulator — then reads a contiguous run of eight or
+// sixteen tag words, one or two host cache lines, instead of striding
+// through 32-byte structs. Replacement state is two words per set (order,
+// cold), not a timestamp per line, so a hit writes one word and a fill
+// finds its victim without a second scan.
 type Cache struct {
 	cfg     Config
 	numSets uint64
@@ -105,21 +110,34 @@ type Cache struct {
 	lineBits uint
 	assoc    int
 	// Way-major line state: set s occupies [s*assoc, (s+1)*assoc).
-	// tags holds (tag<<1)|1 for valid lines and 0 for invalid ones, so the
-	// hit scan compares against a single contiguous array.
+	// tags holds (tag<<1)|1 for valid lines and 0 for free ways, so the hit
+	// scan compares against a single contiguous array. Ways fill in index
+	// order and only Reset frees them, so a set's free ways are a suffix: a
+	// set is full when its last way is, and otherwise the fill target is
+	// its first zero tag. A per-line invalidate would break this invariant.
 	tags []uint64
-	// stamp orders lines for LRU: higher = more recently used.
-	stamps []uint64
+	// order holds one recency word per set: a permutation of the way
+	// indices, one nibble each, most recently used in the low nibble (hence
+	// Assoc <= 16). Nibbles >= assoc never leave the high positions, so the
+	// LRU way is nibble assoc-1.
+	order []uint64
+	// cold holds one mask per set: bit w is set while way w holds a line
+	// demoted by a non-temporal access (an NT hit under NTBypass, an NT
+	// fill under NTDemote). Cold lines are victims before any warm line,
+	// lowest way first, and their position in order is stale until an
+	// ordinary access warms them again. NTIgnore levels never touch it.
+	cold []uint16
 	// owner is the core that filled the line (occupancy attribution).
 	owners []int8
-	clock  uint64
 	stats  Stats
-	// lastLine/lastIdx memoize the line the previous access left resident
-	// (lastIdx < 0 after an NT-bypass miss or Reset). An access that
-	// repeats the previous line address is a guaranteed hit at that index —
-	// nothing has touched this level in between, so nothing can have
-	// evicted it — which turns the streaming-access common case (several
-	// consecutive accesses per 64-byte line) into one compare.
+	// lastLine/lastIdx memoize the line, and its way, that the previous
+	// access left resident, warm and most recently used (lastIdx < 0 after
+	// a demoting access, an NT-bypass miss or Reset: no such line). An
+	// access that repeats the previous line address is a guaranteed hit
+	// that changes no replacement state — nothing has touched this level
+	// in between — which turns the streaming-access common case (several
+	// consecutive accesses per 64-byte line) into one compare and two
+	// counter bumps.
 	lastLine uint64
 	lastIdx  int
 }
@@ -129,6 +147,9 @@ type Cache struct {
 func New(cfg Config) *Cache {
 	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache %q: non-positive geometry %+v", cfg.Name, cfg))
+	}
+	if cfg.Assoc > 16 {
+		panic(fmt.Sprintf("cache %q: associativity %d exceeds the 16 ways a recency word orders", cfg.Name, cfg.Assoc))
 	}
 	if cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("cache %q: line size %d not a power of two", cfg.Name, cfg.LineSize))
@@ -142,9 +163,15 @@ func New(cfg Config) *Cache {
 		numSets: uint64(numSets),
 		assoc:   cfg.Assoc,
 		tags:    make([]uint64, numSets*cfg.Assoc),
-		stamps:  make([]uint64, numSets*cfg.Assoc),
+		order:   make([]uint64, numSets),
 		owners:  make([]int8, numSets*cfg.Assoc),
 		lastIdx: -1,
+	}
+	for i := range c.order {
+		c.order[i] = orderIdentity
+	}
+	if cfg.NT != NTIgnore {
+		c.cold = make([]uint16, numSets)
 	}
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.lineBits++
@@ -169,13 +196,36 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
-		c.stamps[i] = 0
 		c.owners[i] = 0
 	}
-	c.clock = 0
+	for i := range c.order {
+		c.order[i] = orderIdentity
+	}
+	for i := range c.cold {
+		c.cold[i] = 0
+	}
 	c.stats = Stats{}
 	c.lastLine = 0
 	c.lastIdx = -1
+}
+
+const (
+	// orderIdentity is the recency word of an empty set: nibble i holds i.
+	orderIdentity = 0xfedcba9876543210
+	nibbleLow     = 0x1111111111111111
+	nibbleHigh    = 0x8888888888888888
+)
+
+// touch returns recency word order with way w moved to the front: the
+// nibbles ahead of w slide up one place and w takes the low nibble.
+// Branch-free. XOR with w in every nibble zeroes exactly w's nibble; the
+// zero-nibble test can flag falsely only above a true zero, and the lowest
+// flag is the one taken.
+func touch(order, w uint64) uint64 {
+	x := order ^ w*nibbleLow
+	sh := uint(bits.TrailingZeros64((x-nibbleLow)&^x&nibbleHigh)) & 60
+	ahead := uint64(1)<<sh - 1
+	return order&^(ahead<<4|0xf) | order&ahead<<4 | w
 }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
@@ -186,32 +236,27 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return lineAddr % c.numSets, lineAddr / c.numSets
 }
 
-// Access performs a lookup, allocating on miss per the NT policy.
-// It returns whether the access hit and whether a valid line was evicted.
-func (c *Cache) Access(addr uint64, nt bool) (hit, evicted bool) {
+// Access performs a lookup, allocating on miss per the NT policy, and
+// reports whether it hit.
+func (c *Cache) Access(addr uint64, nt bool) bool {
 	return c.AccessBy(0, addr, nt)
 }
 
 // AccessBy is Access with fill-owner attribution: filled lines are tagged
 // with the requesting core so occupancy can be attributed per core — the
 // signal a shared-cache monitor (UMON-style) would expose.
-func (c *Cache) AccessBy(core int, addr uint64, nt bool) (hit, evicted bool) {
+func (c *Cache) AccessBy(core int, addr uint64, nt bool) bool {
 	c.stats.Accesses++
-	c.clock++
 	lineAddr := addr >> c.lineBits
+	// bypass: this access demotes the line on a hit and does not allocate
+	// on a miss.
+	bypass := nt && c.cfg.NT == NTBypass
 	// Repeated-line fast path: the previous access left exactly this line
-	// resident at lastIdx, and nothing has accessed this level since, so
-	// it is a hit with no set scan. Bookkeeping is identical to the scan
-	// hit below.
-	if lineAddr == c.lastLine && c.lastIdx >= 0 {
+	// resident, warm and MRU, and nothing has accessed this level since, so
+	// it is a hit that moves no replacement state.
+	if lineAddr == c.lastLine && c.lastIdx >= 0 && !bypass {
 		c.stats.Hits++
-		if nt && c.cfg.NT == NTBypass {
-			c.stamps[c.lastIdx] = 0
-			c.stats.NTDemoted++
-		} else {
-			c.stamps[c.lastIdx] = c.clock
-		}
-		return true, false
+		return true
 	}
 	var set, tag uint64
 	if c.pow2 {
@@ -223,56 +268,58 @@ func (c *Cache) AccessBy(core int, addr uint64, nt bool) (hit, evicted bool) {
 	lo := int(set) * c.assoc
 	hi := lo + c.assoc
 	tags := c.tags[lo:hi:hi]
-	for i := range tags {
-		if tags[i] == want {
+	for w := range tags {
+		if tags[w] == want {
 			c.stats.Hits++
-			if nt && c.cfg.NT == NTBypass {
-				// Demote on NT hit: next victim in this set.
-				c.stamps[lo+i] = 0
-				c.stats.NTDemoted++
-			} else {
-				c.stamps[lo+i] = c.clock
-			}
-			c.lastLine, c.lastIdx = lineAddr, lo+i
-			return true, false
+			c.settle(set, w, lineAddr, bypass)
+			return true
 		}
 	}
 	c.stats.Misses++
-	if nt && c.cfg.NT == NTBypass {
+	if bypass {
 		c.stats.NTBypassed++
 		// The line is not resident; poison the memo.
 		c.lastIdx = -1
-		return false, false
+		return false
 	}
-	// Victim: invalid line if any, else lowest stamp.
-	victim := 0
-	var best uint64 = ^uint64(0)
-	stamps := c.stamps[lo:hi:hi]
-	for i := range tags {
-		if tags[i]&1 == 0 {
-			victim = i
-			best = 0
-			break
+	w := len(tags) - 1
+	if tags[w] == 0 {
+		// Free ways are a suffix: fill the first of them.
+		for w > 0 && tags[w-1] == 0 {
+			w--
 		}
-		if stamps[i] < best {
-			best = stamps[i]
-			victim = i
-		}
-	}
-	if tags[victim]&1 != 0 {
+	} else {
+		// Full set. The victim is the timestamp model's minimum (stamp,
+		// way): warm lines carry distinct stamps, so their order is the
+		// permutation in order; cold lines all carry stamp zero, so they go
+		// first, lowest way first.
 		c.stats.Evictions++
-		evicted = true
+		if c.cold != nil && c.cold[set] != 0 {
+			w = bits.TrailingZeros16(c.cold[set])
+		} else {
+			w = int(c.order[set] >> (4 * uint(len(tags)-1)) & 0xf)
+		}
 	}
-	stamp := c.clock
-	if nt && c.cfg.NT == NTDemote {
-		stamp = 0
+	tags[w] = want
+	c.owners[lo+w] = int8(core)
+	c.settle(set, w, lineAddr, nt && c.cfg.NT == NTDemote)
+	return false
+}
+
+// settle records how an access leaves way w of set: demoted (cold, the
+// set's next victim, memo poisoned) or warm, MRU and memoised.
+func (c *Cache) settle(set uint64, w int, lineAddr uint64, demote bool) {
+	if demote {
+		c.cold[set] |= 1 << uint(w)
 		c.stats.NTDemoted++
+		c.lastIdx = -1
+		return
 	}
-	tags[victim] = want
-	stamps[victim] = stamp
-	c.owners[lo+victim] = int8(core)
-	c.lastLine, c.lastIdx = lineAddr, lo+victim
-	return false, evicted
+	c.order[set] = touch(c.order[set], uint64(w))
+	if c.cold != nil {
+		c.cold[set] &^= 1 << uint(w)
+	}
+	c.lastLine, c.lastIdx = lineAddr, w
 }
 
 // OccupancyByOwner counts valid lines per filling core (indices beyond the

@@ -13,13 +13,13 @@ func small(nt NTPolicy) *Cache {
 
 func TestHitAfterMiss(t *testing.T) {
 	c := small(NTIgnore)
-	if hit, _ := c.Access(0x1000, false); hit {
+	if c.Access(0x1000, false) {
 		t.Fatal("cold access hit")
 	}
-	if hit, _ := c.Access(0x1000, false); !hit {
+	if !c.Access(0x1000, false) {
 		t.Fatal("second access missed")
 	}
-	if hit, _ := c.Access(0x1008, false); !hit {
+	if !c.Access(0x1008, false) {
 		t.Fatal("same-line access missed")
 	}
 	s := c.Stats()
@@ -157,6 +157,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Name: "zero", SizeBytes: 0, LineSize: 64, Assoc: 2},
 		{Name: "nonpow2", SizeBytes: 512, LineSize: 48, Assoc: 2},
 		{Name: "indivisible", SizeBytes: 500, LineSize: 64, Assoc: 2},
+		{Name: "wide", SizeBytes: 17 * 64, LineSize: 64, Assoc: 17},
 	}
 	for _, cfg := range cases {
 		func() {
@@ -193,8 +194,7 @@ func TestCacheInvariantsRandom(t *testing.T) {
 		// Determinism: same addr twice back-to-back, normal access.
 		addr := uint64(rng.Intn(1 << 14))
 		c.Access(addr, false)
-		hit, _ := c.Access(addr, false)
-		return hit
+		return c.Access(addr, false)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // HierarchyConfig sizes a multicore cache hierarchy: a private L1 and L2
 // per core and one shared LLC.
@@ -46,25 +43,15 @@ type Hierarchy struct {
 	l2  []*Cache
 	llc *Cache
 	per []CoreStats
-	// Memoized MLP-derived constants for the batched replay paths: every
-	// engine passes the same mlp on every call, so the shift/divide choice
-	// and the L1-hit stall are computed once per distinct value instead of
-	// per batch. mlpMemo is 0 (never a legal mlp) until first use.
-	mlpMemo    uint64
-	mlpShift   int
-	l1HitStall uint64
-}
-
-// setMLP recomputes the memoized replay constants for a new mlp value.
-func (h *Hierarchy) setMLP(mlp uint64) {
-	h.mlpMemo = mlp
-	// latency/mlp is on the per-load hot path; a power-of-two divisor (the
-	// default MLP is 4) becomes a shift. Identical quotients either way.
-	h.mlpShift = -1
-	if mlp != 0 && mlp&(mlp-1) == 0 {
-		h.mlpShift = bits.TrailingZeros64(mlp)
-	}
-	h.l1HitStall = uint64(h.cfg.L1.HitLatency) / mlp
+	// latency is the cycles an access served by level 0–2 (L1, L2, LLC) or
+	// by memory (3) takes.
+	latency [4]int
+	// stall is latency/mlp per serving level for the mlp the batched replay
+	// paths were last called with (every engine passes the same value on
+	// every call, so the divisions happen once). mlp is 0, never a legal
+	// value, until first use.
+	stall [4]uint64
+	mlp   uint64
 }
 
 // NewHierarchy builds the hierarchy for cfg.Cores cores.
@@ -72,7 +59,12 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("cache: hierarchy with %d cores", cfg.Cores))
 	}
-	h := &Hierarchy{cfg: cfg, llc: New(cfg.LLC), per: make([]CoreStats, cfg.Cores)}
+	h := &Hierarchy{
+		cfg:     cfg,
+		llc:     New(cfg.LLC),
+		per:     make([]CoreStats, cfg.Cores),
+		latency: [4]int{cfg.L1.HitLatency, cfg.L2.HitLatency, cfg.LLC.HitLatency, cfg.MemLatency},
+	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, New(cfg.L1))
 		h.l2 = append(h.l2, New(cfg.L2))
@@ -83,37 +75,34 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
+// walk sends one access by core down L1 → L2 → LLC, filling every level it
+// misses, and returns the level that served it: 0–2, or 3 for memory.
+func (h *Hierarchy) walk(core int, addr uint64, nt bool) int {
+	if h.l1[core].Access(addr, nt) {
+		return 0
+	}
+	if h.l2[core].Access(addr, nt) {
+		return 1
+	}
+	h.per[core].LLCAccesses++
+	if h.llc.AccessBy(core, addr, nt) {
+		return 2
+	}
+	h.per[core].LLCMisses++
+	return 3
+}
+
 // Load walks the hierarchy for a read by core and returns the access
 // latency in cycles.
 func (h *Hierarchy) Load(core int, addr uint64, nt bool) int {
-	if hit, _ := h.l1[core].Access(addr, nt); hit {
-		return h.cfg.L1.HitLatency
-	}
-	if hit, _ := h.l2[core].Access(addr, nt); hit {
-		return h.cfg.L2.HitLatency
-	}
-	h.per[core].LLCAccesses++
-	if hit, _ := h.llc.AccessBy(core, addr, nt); hit {
-		return h.cfg.LLC.HitLatency
-	}
-	h.per[core].LLCMisses++
-	return h.cfg.MemLatency
+	return h.latency[h.walk(core, addr, nt)]
 }
 
 // Store updates the hierarchy for a write-allocate write by core. The
 // returned latency models store-buffer absorption: stores cost their L1
 // time only, but still disturb cache contents at every level they miss.
 func (h *Hierarchy) Store(core int, addr uint64, nt bool) int {
-	if hit, _ := h.l1[core].Access(addr, nt); hit {
-		return 1
-	}
-	if hit, _ := h.l2[core].Access(addr, nt); hit {
-		return 1
-	}
-	h.per[core].LLCAccesses++
-	if hit, _ := h.llc.AccessBy(core, addr, nt); !hit {
-		h.per[core].LLCMisses++
-	}
+	h.walk(core, addr, nt)
 	return 1
 }
 
@@ -121,16 +110,7 @@ func (h *Hierarchy) Store(core int, addr uint64, nt bool) int {
 // A non-temporal prefetch fills the private levels but is tagged NT at the
 // shared level (the prefetchnta contract).
 func (h *Hierarchy) Prefetch(core int, addr uint64, nt bool) {
-	if hit, _ := h.l1[core].Access(addr, nt); hit {
-		return
-	}
-	if hit, _ := h.l2[core].Access(addr, nt); hit {
-		return
-	}
-	h.per[core].LLCAccesses++
-	if hit, _ := h.llc.AccessBy(core, addr, nt); !hit {
-		h.per[core].LLCMisses++
-	}
+	h.walk(core, addr, nt)
 }
 
 // AccessKind tags one entry of a batched access list.
@@ -165,10 +145,7 @@ type Access struct {
 // per-instruction integer rounding); stores and prefetches contribute
 // nothing. mlp must be >= 1.
 func (h *Hierarchy) Replay(core int, accs []Access, mlp uint64) uint64 {
-	if mlp != h.mlpMemo {
-		h.setMLP(mlp)
-	}
-	shift, l1HitStall := h.mlpShift, h.l1HitStall
+	stalls := h.stalls(mlp)
 	l1 := h.l1[core]
 	// The L1 repeated-line fast path is only equivalent when an NT hit at
 	// the L1 behaves like an ordinary hit (true for every policy except
@@ -177,33 +154,19 @@ func (h *Hierarchy) Replay(core int, accs []Access, mlp uint64) uint64 {
 	var stall uint64
 	for i := range accs {
 		a := &accs[i]
+		level := 0
 		// Repeated-line fast path, inlined from AccessBy: the previous L1
-		// access left exactly this line resident and MRU, so this access is
-		// a guaranteed L1 hit regardless of kind — loads stall one L1 hit,
-		// stores and prefetches are absorbed. Bookkeeping is identical to
-		// the walk's L1-hit outcome.
+		// access left exactly this line resident, warm and MRU, so this
+		// access is an L1 hit that moves no replacement state, whatever its
+		// kind.
 		if a.Addr>>l1.lineBits == l1.lastLine && l1.lastIdx >= 0 && (ntSafe || !a.NT) {
 			l1.stats.Accesses++
 			l1.stats.Hits++
-			l1.clock++
-			l1.stamps[l1.lastIdx] = l1.clock
-			if a.Kind == AccessLoad {
-				stall += l1HitStall
-			}
-			continue
+		} else {
+			level = h.walk(core, a.Addr, a.NT)
 		}
-		switch a.Kind {
-		case AccessLoad:
-			lat := uint64(h.Load(core, a.Addr, a.NT))
-			if shift >= 0 {
-				stall += lat >> uint(shift)
-			} else {
-				stall += lat / mlp
-			}
-		case AccessStore:
-			h.Store(core, a.Addr, a.NT)
-		case AccessPrefetch:
-			h.Prefetch(core, a.Addr, a.NT)
+		if a.Kind == AccessLoad {
+			stall += stalls[level]
 		}
 	}
 	return stall
@@ -214,19 +177,15 @@ func (h *Hierarchy) Replay(core int, accs []Access, mlp uint64) uint64 {
 // with every access an AccessLoad with NT false: same walk, same counters,
 // same summed stall.
 func (h *Hierarchy) ReplayLoads(core int, addrs []uint64, mlp uint64) uint64 {
-	if mlp != h.mlpMemo {
-		h.setMLP(mlp)
-	}
-	shift, l1HitStall := h.mlpShift, h.l1HitStall
+	stalls := h.stalls(mlp)
 	l1 := h.l1[core]
 	var stall uint64
 	n := len(addrs)
 	for i := 0; i < n; {
 		// Repeated-line runs (see Replay's fast path): a stretch of k
-		// consecutive loads to the previously-touched line are k guaranteed
-		// L1 hits with nothing else touching the set in between, so only
-		// the final LRU stamp is observable. Settle the whole stretch with
-		// one set of counter bumps — identical end state to k walks.
+		// consecutive loads to the previously-touched line are k L1 hits
+		// that move no replacement state. Settle the whole stretch with one
+		// set of counter bumps — identical end state to k walks.
 		if la := addrs[i] >> l1.lineBits; la == l1.lastLine && l1.lastIdx >= 0 {
 			j := i + 1
 			for j < n && addrs[j]>>l1.lineBits == la {
@@ -235,29 +194,34 @@ func (h *Hierarchy) ReplayLoads(core int, addrs []uint64, mlp uint64) uint64 {
 			k := uint64(j - i)
 			l1.stats.Accesses += k
 			l1.stats.Hits += k
-			l1.clock += k
-			l1.stamps[l1.lastIdx] = l1.clock
-			stall += k * l1HitStall
+			stall += k * stalls[0]
 			i = j
 			continue
 		}
-		lat := uint64(h.Load(core, addrs[i], false))
-		if shift >= 0 {
-			stall += lat >> uint(shift)
-		} else {
-			stall += lat / mlp
-		}
+		stall += stalls[h.walk(core, addrs[i], false)]
 		i++
 	}
 	return stall
+}
+
+// stalls returns the per-level load stall table for mlp, refreshing it
+// when mlp differs from the previous call's.
+func (h *Hierarchy) stalls(mlp uint64) *[4]uint64 {
+	if mlp != h.mlp {
+		h.mlp = mlp
+		for level, lat := range h.latency {
+			h.stall[level] = uint64(lat) / mlp
+		}
+	}
+	return &h.stall
 }
 
 // MaxLatency returns the largest latency any single access can incur —
 // the worst level of the walk. Engines use it to bound a superblock's
 // worst-case cost.
 func (h *Hierarchy) MaxLatency() int {
-	m := h.cfg.MemLatency
-	for _, l := range []int{h.cfg.L1.HitLatency, h.cfg.L2.HitLatency, h.cfg.LLC.HitLatency} {
+	m := h.latency[0]
+	for _, l := range h.latency[1:] {
 		if l > m {
 			m = l
 		}

@@ -67,19 +67,27 @@ func applyOneByOne(h *Hierarchy, core int, accs []Access, mlp uint64) uint64 {
 }
 
 // requireCacheEqual compares the complete internal state of two levels:
-// every tag, stamp and owner word, the LRU clock, and the counters.
+// every tag and owner word, every set's recency word and cold mask, and the
+// counters.
 func requireCacheEqual(t *testing.T, name string, a, b *Cache) {
 	t.Helper()
 	if a.stats != b.stats {
 		t.Fatalf("%s: stats diverged: %+v vs %+v", name, a.stats, b.stats)
 	}
-	if a.clock != b.clock {
-		t.Fatalf("%s: clock diverged: %d vs %d", name, a.clock, b.clock)
-	}
 	for i := range a.tags {
-		if a.tags[i] != b.tags[i] || a.stamps[i] != b.stamps[i] || a.owners[i] != b.owners[i] {
-			t.Fatalf("%s: line %d diverged: tag %x/%x stamp %d/%d owner %d/%d",
-				name, i, a.tags[i], b.tags[i], a.stamps[i], b.stamps[i], a.owners[i], b.owners[i])
+		if a.tags[i] != b.tags[i] || a.owners[i] != b.owners[i] {
+			t.Fatalf("%s: line %d diverged: tag %x/%x owner %d/%d",
+				name, i, a.tags[i], b.tags[i], a.owners[i], b.owners[i])
+		}
+	}
+	for s := range a.order {
+		if a.order[s] != b.order[s] {
+			t.Fatalf("%s: set %d recency word diverged: %016x vs %016x", name, s, a.order[s], b.order[s])
+		}
+	}
+	for s := range a.cold {
+		if a.cold[s] != b.cold[s] {
+			t.Fatalf("%s: set %d cold mask diverged: %04x vs %04x", name, s, a.cold[s], b.cold[s])
 		}
 	}
 }
@@ -159,26 +167,47 @@ func TestReplayLoadsMatchesPerCallWalk(t *testing.T) {
 	}
 }
 
-// TestRepeatedLineMemoAcrossKinds pins the memo edge cases directly: an
-// NT hit at an NTBypass level demotes through the fast path, and an
-// NT-bypass miss poisons the memo so the next access rescans.
+// TestRepeatedLineMemoAcrossKinds pins the memo rule — it names a line that
+// is resident, warm and MRU — at its edges: an NT hit at an NTBypass level
+// demotes through the scan path and poisons the memo, the next plain access
+// still hits and re-warms the line, and an NT-bypass miss poisons the memo
+// so the next access rescans.
 func TestRepeatedLineMemoAcrossKinds(t *testing.T) {
-	c := New(Config{Name: "x", SizeBytes: 4 << 10, LineSize: 64, Assoc: 4, HitLatency: 1, NT: NTBypass})
-	c.Access(0x1000, false) // fill; memo points at the line
-	if hit, _ := c.Access(0x1008, false); !hit {
+	// One set of four ways, filled: every line below competes for them.
+	c := New(Config{Name: "x", SizeBytes: 256, LineSize: 64, Assoc: 4, HitLatency: 1, NT: NTBypass})
+	for _, a := range []uint64{0x2000, 0x3000, 0x4000, 0x1000} {
+		c.Access(a, false)
+	}
+	// The last fill left the memo pointing at 0x1000.
+	if !c.Access(0x1008, false) {
 		t.Fatal("repeated line should hit via memo")
 	}
-	if hit, _ := c.Access(0x1010, true); !hit {
+	if !c.Access(0x1010, true) {
 		t.Fatal("NT repeated line should still hit")
 	}
 	if c.stats.NTDemoted != 1 {
-		t.Fatalf("NT hit on the memo path must demote: %+v", c.stats)
+		t.Fatalf("NT hit on the memoised line must demote once: %+v", c.stats)
+	}
+	if c.lastIdx != -1 {
+		t.Fatalf("memo not poisoned after a demoting hit: lastIdx=%d", c.lastIdx)
+	}
+	if !c.Access(0x1018, false) {
+		t.Fatal("demoted line must still be resident")
+	}
+	if c.stats.NTDemoted != 1 {
+		t.Fatalf("plain hit counted as a demotion: %+v", c.stats)
+	}
+	// The plain hit re-warmed the line, so the set's next fill takes the
+	// LRU way (0x2000), not the line that was cold a moment ago.
+	c.Access(0x5000, false)
+	if !c.Probe(0x1000) || c.Probe(0x2000) {
+		t.Fatalf("after the fill: re-warmed line resident %v, LRU line resident %v", c.Probe(0x1000), c.Probe(0x2000))
 	}
 	c.Access(0x9000, true) // NT-bypass miss: no fill, memo must poison
 	if c.lastIdx != -1 {
 		t.Fatalf("memo not poisoned after NT-bypass miss: lastIdx=%d", c.lastIdx)
 	}
-	if hit, _ := c.Access(0x1018, false); !hit {
-		t.Fatal("original line must still be resident after bypass")
+	if !c.Access(0x5008, false) {
+		t.Fatal("last filled line must still be resident after bypass")
 	}
 }

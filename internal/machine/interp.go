@@ -17,8 +17,7 @@ func (e *interpEngine) CodeInstalled(int) {}
 // boundary, executing instructions, naps, sleeps and stolen cycles.
 func (e *interpEngine) RunUntil(until uint64) {
 	p := e.p
-	napWindow := p.m.cfg.NapWindowCycles
-	mlp := uint64(p.m.cfg.MLP)
+	napWindow := p.m.napWindow
 	hier := p.m.hier
 	for p.ctr.Cycles < until {
 		if p.halted {
@@ -59,6 +58,6 @@ func (e *interpEngine) RunUntil(until uint64) {
 				continue
 			}
 		}
-		p.step(hier, mlp)
+		p.step(hier)
 	}
 }

@@ -29,6 +29,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/progbin"
@@ -47,12 +48,6 @@ type Config struct {
 	// Hierarchy configures the caches; zero value uses
 	// cache.DefaultHierarchy(Cores).
 	Hierarchy cache.HierarchyConfig
-	// MLP divides memory stall cycles, modelling overlapping misses
-	// (default 4).
-	MLP int
-	// NapWindowCycles is the napping duty-cycle window (default 5 ms of
-	// simulated time).
-	NapWindowCycles uint64
 	// Seed perturbs per-process address-stream randomness.
 	Seed int64
 	// Engine selects the execution engine for every attached process:
@@ -81,17 +76,18 @@ func (c Config) withDefaults() Config {
 	if c.Hierarchy.Cores == 0 {
 		c.Hierarchy = cache.DefaultHierarchy(c.Cores)
 	}
-	if c.MLP == 0 {
-		c.MLP = 4
-	}
-	if c.NapWindowCycles == 0 {
-		c.NapWindowCycles = 5 * uint64(c.FreqHz/1000) // 5 ms
-	}
 	if c.Engine == "" {
 		c.Engine = DefaultEngine
 	}
 	return c
 }
+
+// loadMLP divides every load's stall cycles, modelling overlapping misses
+// (memory-level parallelism).
+const loadMLP = 4
+
+// napWindowMs is the napping duty-cycle window in simulated milliseconds.
+const napWindowMs = 5
 
 // Agent is invoked at every quantum boundary. The protean runtime, QoS
 // monitors, and load generators are agents.
@@ -109,13 +105,15 @@ func (f AgentFunc) Tick(m *Machine) { f(m) }
 // interleaved with execution on the caller's goroutine, which is what makes
 // cycle accounting deterministic.
 type Machine struct {
-	cfg      Config
-	hier     *cache.Hierarchy
-	procs    []*Process // indexed by core; nil = idle core
-	agents   []Agent
-	now      uint64 // global cycles
-	inTick   bool
-	deferred []func()
+	cfg  Config
+	hier *cache.Hierarchy
+	// napWindow is napWindowMs at this machine's clock, in cycles.
+	napWindow uint64
+	procs     []*Process // indexed by core; nil = idle core
+	agents    []Agent
+	now       uint64 // global cycles
+	inTick    bool
+	deferred  []func()
 
 	tel     *telemetry.Registry
 	cQuanta *telemetry.Counter
@@ -125,10 +123,11 @@ type Machine struct {
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{
-		cfg:   cfg,
-		hier:  cache.NewHierarchy(cfg.Hierarchy),
-		procs: make([]*Process, cfg.Cores),
-		tel:   cfg.Telemetry,
+		cfg:       cfg,
+		hier:      cache.NewHierarchy(cfg.Hierarchy),
+		napWindow: napWindowMs * uint64(cfg.FreqHz/1000),
+		procs:     make([]*Process, cfg.Cores),
+		tel:       cfg.Telemetry,
 	}
 	m.cQuanta = m.tel.Counter("machine", "quanta_total", "scheduling quanta executed")
 	return m
@@ -238,12 +237,16 @@ func (m *Machine) RunQuanta(n int) {
 // RunSeconds advances the machine by a simulated duration. Time advances
 // in whole scheduling quanta (QuantumCycles, default 1 ms of simulated
 // time): the duration is rounded to the nearest quantum, with a minimum of
-// one. It previously truncated, so a float artifact like 0.35 s × 1000
-// quanta/s = 349.999… silently dropped a quantum.
+// one. It panics on a duration it cannot run — NaN, or a quantum count that
+// does not fit an int — instead of converting an out-of-range float;
+// commands check their flags before calling it.
 func (m *Machine) RunSeconds(seconds float64) {
-	quanta := int(seconds*m.cfg.FreqHz/float64(m.cfg.QuantumCycles) + 0.5)
+	quanta := seconds*m.cfg.FreqHz/float64(m.cfg.QuantumCycles) + 0.5
+	if !(math.Abs(quanta) < 1<<63) { // NaN fails every comparison
+		panic(fmt.Sprintf("machine: RunSeconds(%v): quantum count %v does not fit an int", seconds, quanta))
+	}
 	if quanta < 1 {
 		quanta = 1
 	}
-	m.RunQuanta(quanta)
+	m.RunQuanta(int(quanta))
 }

@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -418,11 +421,44 @@ func TestClockHelpers(t *testing.T) {
 	if m.Cycles(2.0) != 2e6 {
 		t.Errorf("Cycles(2.0) = %d", m.Cycles(2.0))
 	}
-	// RunSeconds advances at least one quantum.
-	m2 := New(Config{Cores: 1})
-	m2.RunSeconds(0)
-	if m2.Now() == 0 {
-		t.Error("RunSeconds(0) advanced nothing")
+}
+
+// TestRunSeconds pins the rounding rule (nearest quantum, minimum one) and
+// the panic on a duration whose quantum count is no int. No process is
+// attached: only the clock moves.
+func TestRunSeconds(t *testing.T) {
+	for _, tc := range []struct {
+		seconds float64
+		quanta  uint64 // 0: must panic
+	}{
+		{0, 1},
+		{-1, 1},
+		{1e-9, 1},
+		{0.0014, 1},
+		{0.0015, 2},
+		{0.35, 350}, // 0.35 s × 1000 quanta/s = 349.999…: truncation dropped one
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{1e300, 0},
+		{-1e300, 0},
+	} {
+		m := New(Config{Cores: 1}) // 10 MHz, 1 ms quanta
+		func() {
+			defer func() {
+				r := recover()
+				if (r != nil) != (tc.quanta == 0) {
+					t.Errorf("RunSeconds(%v): panic %v, want %d quanta", tc.seconds, r, tc.quanta)
+				}
+				if msg, _ := r.(string); r != nil && !strings.Contains(msg, fmt.Sprint(tc.seconds)) {
+					t.Errorf("RunSeconds(%v) panic does not name the value: %v", tc.seconds, r)
+				}
+			}()
+			m.RunSeconds(tc.seconds)
+		}()
+		if got := m.Now() / m.Config().QuantumCycles; got != tc.quanta {
+			t.Errorf("RunSeconds(%v) ran %d quanta, want %d", tc.seconds, got, tc.quanta)
+		}
 	}
 }
 

@@ -378,7 +378,7 @@ func (p *Process) InstallVariant(vr *isa.VariantResult) error {
 }
 
 // step executes one instruction.
-func (p *Process) step(hier hierAccessor, mlp uint64) {
+func (p *Process) step(hier hierAccessor) {
 	in := &p.code[p.pc]
 	if p.trace != nil {
 		p.trace[p.tracePos] = TraceEntry{Cycle: p.ctr.Cycles, PC: p.pc}
@@ -410,7 +410,7 @@ func (p *Process) step(hier hierAccessor, mlp uint64) {
 	case isa.OpLoad:
 		addr := p.address(&in.Gen)
 		lat := hier.Load(p.core, addr, in.NT)
-		stall := uint64(lat) / mlp
+		stall := uint64(lat) / loadMLP
 		p.ctr.Cycles += costLoadBase + stall
 		p.ctr.Loads++
 		p.regs[in.Dst] = int64(addr)

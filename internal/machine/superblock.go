@@ -131,14 +131,13 @@ type sbEngine struct {
 	gptr   []*isa.AddrGen // generic generator pointers, indexed by PC
 	accs   []cache.Access // reusable batch buffer (mixed-kind runs)
 	addrs  []uint64       // reusable batch buffer (plain-load runs)
-	mlp    uint64
-	// maxStall is the worst per-load stall (slowest hierarchy level / MLP).
+	// maxStall is the worst per-load stall (slowest hierarchy level / loadMLP).
 	maxStall uint64
 }
 
 func newSuperblockEngine(p *Process) Engine {
-	e := &sbEngine{p: p, oracle: interpEngine{p: p}, mlp: uint64(p.m.cfg.MLP)}
-	e.maxStall = uint64(p.m.hier.MaxLatency()) / e.mlp
+	e := &sbEngine{p: p, oracle: interpEngine{p: p}}
+	e.maxStall = uint64(p.m.hier.MaxLatency()) / loadMLP
 	e.decode()
 	return e
 }
@@ -306,7 +305,7 @@ func (e *sbEngine) RunUntil(until uint64) {
 		e.oracle.RunUntil(until)
 		return
 	}
-	napWindow := p.m.cfg.NapWindowCycles
+	napWindow := p.m.napWindow
 	for p.ctr.Cycles < until {
 		if p.halted {
 			p.ctr.Cycles = until
@@ -363,7 +362,7 @@ func (e *sbEngine) RunUntil(until uint64) {
 				continue
 			}
 		}
-		p.step(p.m.hier, e.mlp)
+		p.step(p.m.hier)
 	}
 }
 
@@ -405,7 +404,7 @@ func (e *sbEngine) runChain(pc int, r *sbRun, limit uint64) {
 			// ordering matters: flush the queued loads first, then let the
 			// block replay its own traffic in program order.
 			if len(addrs) > 0 {
-				p.ctr.Cycles += hier.ReplayLoads(p.core, addrs, e.mlp)
+				p.ctr.Cycles += hier.ReplayLoads(p.core, addrs, loadMLP)
 				addrs = addrs[:0]
 				pending = 0
 			}
@@ -425,7 +424,7 @@ func (e *sbEngine) runChain(pc int, r *sbRun, limit uint64) {
 	}
 	e.addrs = addrs[:0] // keep the grown buffer
 	if len(addrs) > 0 {
-		p.ctr.Cycles += hier.ReplayLoads(p.core, addrs, e.mlp)
+		p.ctr.Cycles += hier.ReplayLoads(p.core, addrs, loadMLP)
 	}
 }
 
@@ -520,7 +519,7 @@ func (e *sbEngine) runBlock(pc int, r *sbRun) bool {
 		}
 		e.accs = accs // keep the grown buffer
 		if len(accs) > 0 {
-			stall = p.m.hier.Replay(p.core, accs, e.mlp)
+			stall = p.m.hier.Replay(p.core, accs, loadMLP)
 		}
 	}
 	p.ctr.Cycles += uint64(r.fixed) + stall
