@@ -4,16 +4,9 @@ import (
 	"math"
 
 	"repro/internal/contend"
-	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/machine"
-	"repro/internal/pc3d"
-	"repro/internal/phase"
-	"repro/internal/qos"
-	"repro/internal/reqos"
 	"repro/internal/sampling"
-	"repro/internal/supervise"
 	"repro/internal/telemetry"
 )
 
@@ -55,15 +48,13 @@ type serverSim struct {
 
 	samplers []appSampler
 
-	// Per-server fault hooks (all nil without chaos).
-	compileFault func(string, uint64) error
-	rtCrashFn    func(uint64) bool
-	dropFn       func(uint64) bool
-	dropNaN      bool
-
 	host    *machine.Process
 	hostApp string
-	sup     *supervise.Supervisor
+	// stackCfg is everything about a batch instance's monitor + policy
+	// stack that is fixed per server (fault hooks included; nil without
+	// chaos); attachBatch adds the Host. stack is the live instance's.
+	stackCfg StackConfig
+	stack    *Stack
 	// gates are the live batch instance's agents; detachBatch switches
 	// them off.
 	gates []*gatedAgent
@@ -137,11 +128,16 @@ func newServerSim(f *Fleet, idx int, app string, crashAt float64) (*serverSim, e
 		})
 	}
 
+	s.stackCfg = StackConfig{
+		Machine: m, Ext: ws, Gen: s.gen, ExtSoloIPS: f.cal.wsSoloIPS,
+		System: cfg.System, Target: cfg.Target, MaxSites: cfg.MaxSites,
+		Telemetry: reg, Add: s.gate,
+	}
 	if cfg.Chaos.Enabled() {
-		s.compileFault = cfg.Chaos.CompileFault(idx)
-		s.rtCrashFn = cfg.Chaos.RuntimeCrashFn(idx, s.freq, m.Config().QuantumCycles)
-		s.dropFn = cfg.Chaos.DropoutFn(idx, s.freq)
-		s.dropNaN = cfg.Chaos.QoSDropoutNaN
+		s.stackCfg.CompileFault = cfg.Chaos.CompileFault(idx)
+		s.stackCfg.RuntimeCrash = cfg.Chaos.RuntimeCrashFn(idx, s.freq, m.Config().QuantumCycles)
+		s.stackCfg.Dropout = cfg.Chaos.DropoutFn(idx, s.freq)
+		s.stackCfg.DropNaN = cfg.Chaos.QoSDropoutNaN
 	}
 
 	if app != "" {
@@ -177,10 +173,9 @@ func (s *serverSim) gate(a machine.Agent) {
 // policy; called at t=0 for the placed instance and again at arrival
 // events (only between machine quanta).
 func (s *serverSim) attachBatch(a string) error {
-	cfg := s.f.cfg
 	m := s.m
 	hb := s.f.cal.plain[a]
-	if cfg.System == SystemPC3D {
+	if s.f.cfg.System == SystemPC3D {
 		hb = s.f.cal.protean[a]
 	}
 	h, err := m.Attach(1, hb, machine.ProcessConfig{Restart: true})
@@ -188,64 +183,13 @@ func (s *serverSim) attachBatch(a string) error {
 		return err
 	}
 	s.host, s.hostApp = h, a
-	host, ws, gen := s.host, s.ws, s.gen
-	hostSmp := sampling.NewPCSampler(host, m.Config().QuantumCycles)
+	hostSmp := sampling.NewPCSampler(h, m.Config().QuantumCycles)
 	s.gate(hostSmp)
 	s.samplers = append(s.samplers, appSampler{a, hostSmp})
-	var src qos.Source
-	var win qos.WindowScorer
-	var extSig func(*machine.Machine) phase.Signature
-	if gen == nil {
-		flux := qos.NewFluxMonitor(m, host, ws, 0, 0)
-		flux.ReferenceIPS = s.f.cal.wsSoloIPS
-		s.gate(flux)
-		src = flux
-		win = &qos.FluxWindow{Flux: flux, Ext: ws}
-		extSig = func(*machine.Machine) phase.Signature {
-			solo, _ := flux.SoloIPS()
-			return phase.Signature{Rate: solo}
-		}
-	} else {
-		tq := qos.NewThroughputQoS(m, ws, gen)
-		s.gate(tq)
-		src = tq
-		win = &qos.ThroughputWindow{Proc: ws, Gen: gen}
-		extSig = func(mm *machine.Machine) phase.Signature {
-			return phase.Signature{Rate: gen.CurrentLoad(mm)}
-		}
-	}
-	switch cfg.System {
-	case SystemPC3D:
-		if s.dropFn != nil {
-			src = &faults.FlakySource{Src: src, M: m, Drop: s.dropFn, NaN: s.dropNaN}
-			win = &faults.FlakyWindow{Win: win, Drop: s.dropFn, NaN: s.dropNaN}
-		}
-		build := func() (*supervise.Session, error) {
-			rt, err := core.New(core.Config{
-				Machine: m, Host: host, RuntimeCore: 2,
-				CompileFault: s.compileFault, Telemetry: s.reg,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ctrl := pc3d.New(pc3d.Config{
-				Runtime: rt, Steady: src, Window: win, ExtSig: extSig,
-				Target: cfg.Target, MaxSites: cfg.MaxSites, Telemetry: s.reg,
-			})
-			return &supervise.Session{Runtime: rt, Policy: ctrl, Close: ctrl.Close}, nil
-		}
-		sup, err := supervise.New(m, host, build, supervise.Config{CrashFn: s.rtCrashFn, Telemetry: s.reg})
-		if err != nil {
-			return err
-		}
-		s.sup = sup
-		s.gate(sup)
-	case SystemReQoS:
-		s.gate(reqos.New(reqos.Config{Host: host, Source: src, Target: cfg.Target}))
-	case SystemNone:
-		// Co-location with no mitigation.
-	}
-	return nil
+	sc := s.stackCfg
+	sc.Host = h
+	s.stack, err = AttachStack(sc)
+	return err
 }
 
 // detachInstance releases the live batch instance: it banks the
@@ -265,10 +209,8 @@ func (s *serverSim) detachInstance() string {
 	}
 	s.hostInstsBank += s.host.Counters().Insts - s.hostInstsMark
 	s.hostInstsMark = 0
-	if s.sup != nil {
-		s.sup.Close()
-		s.sup = nil
-	}
+	s.stack.Close()
+	s.stack = nil
 	for _, g := range s.gates {
 		g.off = true
 	}
@@ -415,9 +357,8 @@ func (s *serverSim) finish() (ServerResult, error) {
 	if err := s.advanceTo(s.horizon); err != nil {
 		return ServerResult{}, err
 	}
-	if s.sup != nil {
-		s.sup.Close()
-		s.sup = nil
+	if s.stack != nil {
+		s.stack.Close()
 	}
 	res := &s.res
 	// A crash inside the measurement window scales delivered QoS by the

@@ -22,38 +22,42 @@ func one(f func(r *Runner) (*Table, error)) FigureFunc {
 	}
 }
 
+// static adapts a table that runs nothing.
+func static(f func(r *Runner) *Table) FigureFunc {
+	return func(r *Runner) ([]*Table, error) { return []*Table{f(r)}, nil }
+}
+
 // Artifacts enumerates every table and figure of the evaluation, in paper
 // order.
 func Artifacts() []Artifact {
-	return []Artifact{
-		{Key: "table1", Name: "Table I", Run: func(r *Runner) ([]*Table, error) { return []*Table{r.Table1()}, nil }},
-		{Key: "fig2", Name: "Figure 2", Run: one((*Runner).Figure2)},
-		{Key: "fig3", Name: "Figure 3", Run: one((*Runner).Figure3)},
-		{Key: "fig4", Name: "Figure 4", Run: one((*Runner).Figure4)},
-		{Key: "fig5", Name: "Figure 5", Run: one((*Runner).Figure5)},
-		{Key: "fig6", Name: "Figure 6", Run: one((*Runner).Figure6)},
-		{Key: "fig7", Name: "Figure 7", Run: one((*Runner).Figure7)},
-		{Key: "fig8", Name: "Figure 8", Run: one((*Runner).Figure8)},
-		{Key: "table2", Name: "Table II", Run: func(r *Runner) ([]*Table, error) { return []*Table{r.Table2()}, nil }},
-		{Key: "fig9", Name: "Figure 9", Run: one(func(r *Runner) (*Table, error) { return r.Figure9to11("web-search") })},
-		{Key: "fig10", Name: "Figure 10", Run: one(func(r *Runner) (*Table, error) { return r.Figure9to11("media-streaming") })},
-		{Key: "fig11", Name: "Figure 11", Run: one(func(r *Runner) (*Table, error) { return r.Figure9to11("graph-analytics") })},
-		{Key: "fig12", Name: "Figure 12", Run: one(func(r *Runner) (*Table, error) { return r.Figure12to14("web-search") })},
-		{Key: "fig13", Name: "Figure 13", Run: one(func(r *Runner) (*Table, error) { return r.Figure12to14("media-streaming") })},
-		{Key: "fig14", Name: "Figure 14", Run: one(func(r *Runner) (*Table, error) { return r.Figure12to14("graph-analytics") })},
-		{Key: "fig15", Name: "Figure 15", Run: (*Runner).Figure15},
-		{Key: "fig16", Name: "Figure 16", Run: one((*Runner).Figure16)},
-		{Key: "table3", Name: "Table III", Run: func(r *Runner) ([]*Table, error) { return []*Table{r.Table3()}, nil }},
-		{Key: "fig17", Name: "Figure 17", Run: one((*Runner).Figure17)},
-		{Key: "fig18", Name: "Figure 18", Run: one((*Runner).Figure18)},
-		{Key: "fig17sim", Name: "Figures 17/18 (simulated fleet)", Run: (*Runner).Figure17Sim},
-		{Key: "figchaos", Name: "Chaos sweep (fault injection)", Run: one((*Runner).FigureChaos)},
-		{Key: "figmigrate", Name: "Migration sweep (contention-driven live migration)", Run: one((*Runner).FigureMigrate)},
-		{Key: "figchaosmigrate", Name: "Chaos-migration soak (transactional moves, breaker, audit)", Run: one((*Runner).FigureChaosMigrate)},
-		{Key: "figslo", Name: "SLO burn-rate alerting vs static thresholds (load-step detection)", Run: one((*Runner).FigureSLO)},
-		{Key: "figtimeline", Name: "Timeline (event trace)", Run: one((*Runner).FigureTimeline)},
-		{Key: "figspans", Name: "Span trees (causal trace)", Run: one((*Runner).FigureSpans)},
+	arts := []Artifact{
+		{"table1", "Table I", static((*Runner).Table1)},
+		{"fig2", "Figure 2", one((*Runner).Figure2)},
+		{"fig3", "Figure 3", one((*Runner).Figure3)},
+		{"fig4", "Figure 4", one((*Runner).Figure4)},
+		{"fig5", "Figure 5", one((*Runner).Figure5)},
+		{"fig6", "Figure 6", one((*Runner).Figure6)},
+		{"fig7", "Figure 7", one((*Runner).Figure7)},
+		{"fig8", "Figure 8", one((*Runner).Figure8)},
+		{"table2", "Table II", static((*Runner).Table2)},
 	}
+	for _, g := range gridFigures() {
+		arts = append(arts, Artifact{fmt.Sprintf("fig%d", g.n), fmt.Sprintf("Figure %d", g.n), one(g.table)})
+	}
+	return append(arts,
+		Artifact{"fig15", "Figure 15", (*Runner).Figure15},
+		Artifact{"fig16", "Figure 16", one((*Runner).Figure16)},
+		Artifact{"table3", "Table III", static((*Runner).Table3)},
+		Artifact{"fig17", "Figure 17", one((*Runner).Figure17)},
+		Artifact{"fig18", "Figure 18", one((*Runner).Figure18)},
+		Artifact{"fig17sim", "Figures 17/18 (simulated fleet)", (*Runner).Figure17Sim},
+		Artifact{"figchaos", "Chaos sweep (fault injection)", one((*Runner).FigureChaos)},
+		Artifact{"figmigrate", "Migration sweep (contention-driven live migration)", one((*Runner).FigureMigrate)},
+		Artifact{"figchaosmigrate", "Chaos-migration soak (transactional moves, breaker, audit)", one((*Runner).FigureChaosMigrate)},
+		Artifact{"figslo", "SLO burn-rate alerting vs static thresholds (load-step detection)", one((*Runner).FigureSLO)},
+		Artifact{"figtimeline", "Timeline (event trace)", one((*Runner).FigureTimeline)},
+		Artifact{"figspans", "Span trees (causal trace)", one((*Runner).FigureSpans)},
+	)
 }
 
 // ArtifactByKey finds an artifact by its CLI key.

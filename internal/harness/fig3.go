@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/pcc"
 	"repro/internal/progbin"
 	"repro/internal/workload"
@@ -43,43 +42,30 @@ func (r *Runner) Figure3() (*Table, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		// The variant's own solo BPS.
-		sm := machine.New(machine.Config{Cores: 2, Engine: r.sc.Engine})
-		sp, err := sm.Attach(0, bin, machine.ProcessConfig{Restart: true})
+		eb, err := r.binary("er-naive", false)
 		if err != nil {
 			return nil, 0, err
 		}
-		sm.RunSeconds(0.5)
-		c0 := sp.Counters()
-		sm.RunSeconds(r.sc.SoloSeconds)
-		soloBPS := float64(sp.Counters().Sub(c0).Branches) / r.sc.SoloSeconds
+		// The variant's own solo BPS.
+		sm, sp, err := r.attach(2, bin)
+		if err != nil {
+			return nil, 0, err
+		}
+		soloBPS := float64(window(sm, 0.5, r.sc.SoloSeconds, sp...)[0].Branches) / r.sc.SoloSeconds
 
 		var pts []point
 		minNap := 1.0
 		found := false
 		for nap := 0.0; nap <= 1.0001; nap += 0.1 {
-			m := machine.New(machine.Config{Cores: 2, Engine: r.sc.Engine})
-			eb, err := r.binary("er-naive", false)
+			m, ps, err := r.attach(2, eb, bin)
 			if err != nil {
 				return nil, 0, err
 			}
-			ep, err := m.Attach(0, eb, machine.ProcessConfig{Restart: true})
-			if err != nil {
-				return nil, 0, err
-			}
-			hp, err := m.Attach(1, bin, machine.ProcessConfig{Restart: true})
-			if err != nil {
-				return nil, 0, err
-			}
-			hp.SetNapIntensity(nap)
-			m.RunSeconds(0.5)
-			e0, h0 := ep.Counters(), hp.Counters()
-			m.RunSeconds(r.sc.MeasureSeconds)
-			ed := ep.Counters().Sub(e0)
-			hd := hp.Counters().Sub(h0)
+			ps[1].SetNapIntensity(nap)
+			d := window(m, 0.5, r.sc.MeasureSeconds, ps...)
 			p := point{
-				perf: float64(hd.Branches) / r.sc.MeasureSeconds / soloBPS,
-				qos:  float64(ed.Insts) / r.sc.MeasureSeconds / extSolo.IPS,
+				perf: float64(d[1].Branches) / r.sc.MeasureSeconds / soloBPS,
+				qos:  float64(d[0].Insts) / r.sc.MeasureSeconds / extSolo.IPS,
 			}
 			pts = append(pts, p)
 			if !found && p.qos >= target {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/datacenter"
 	"repro/internal/faults"
-	"repro/internal/fleet"
 )
 
 // chaosRates are the fault intensities FigureChaos sweeps. Rate 0 is the
@@ -46,27 +45,10 @@ func (r *Runner) FigureChaos() (*Table, error) {
 			"Violations", "Crashes", "Replaced", "RT Restarts", "Dropouts"},
 	}
 	for _, rate := range chaosRates {
-		f, err := fleet.New(fleet.Config{
-			Servers:        len(mix.Apps) + 2,
-			Instances:      len(mix.Apps),
-			Webservice:     "web-search",
-			Mix:            mix,
-			System:         fleet.SystemPC3D,
-			Target:         0.95,
-			Policy:         fleet.RoundRobin{},
-			Seed:           1,
-			Workers:        r.sc.Workers,
-			Engine:         r.sc.Engine,
-			SoloSeconds:    r.sc.SoloSeconds,
-			SettleSeconds:  r.sc.SettleSeconds,
-			MeasureSeconds: r.sc.MeasureSeconds,
-			MaxSites:       r.sc.MaxSites,
-			Chaos:          chaosAt(rate, 1),
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := f.Run()
+		cfg := r.fleetConfig("web-search", mix, SystemPC3D, 1)
+		cfg.Servers, cfg.Instances = len(mix.Apps)+2, len(mix.Apps)
+		cfg.Chaos = chaosAt(rate, 1)
+		f, m, err := runFleet(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -54,24 +54,11 @@ type ChaosMigrateComparison struct {
 // RunChaosMigrateComparison executes the chaos-soaked diurnal fleet twice —
 // identical seed, placement, trace and fault schedule; migration off then on.
 func (r *Runner) RunChaosMigrateComparison() (ChaosMigrateComparison, error) {
-	var cmp ChaosMigrateComparison
-	for _, on := range []bool{false, true} {
-		f, err := fleet.New(r.chaosMigrateFleetConfig(on))
-		if err != nil {
-			return cmp, err
-		}
-		m, err := f.Run()
-		if err != nil {
-			return cmp, err
-		}
-		if on {
-			cmp.On = m
-			cmp.Audit = f.AuditReport()
-		} else {
-			cmp.Off = m
-		}
+	off, on, f, err := offOn(r.chaosMigrateFleetConfig)
+	if err != nil {
+		return ChaosMigrateComparison{}, err
 	}
-	return cmp, nil
+	return ChaosMigrateComparison{Off: off, On: on, Audit: f.AuditReport()}, nil
 }
 
 // FigureChaosMigrate is the robustness artifact: the migration control loop

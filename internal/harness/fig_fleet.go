@@ -34,47 +34,64 @@ type FleetComparison struct {
 	Metrics fleet.Metrics
 }
 
-// FleetCompare runs both routes for one (webservice, mix) pair at the
-// runner's scale. The simulated fleet hosts each mix app on exactly one
-// server, saturated, under PC3D at a 95% target — the same regime the
-// analytic projection assumes.
-func (r *Runner) FleetCompare(webservice string, mix datacenter.Mix) (FleetComparison, error) {
-	if err := r.prefetchPairs(pairGrid(mix.Apps, []string{webservice}, []System{SystemPC3D}, []float64{0.95})); err != nil {
-		return FleetComparison{}, err
-	}
-	utils := datacenter.Utilizations{}
-	for _, a := range mix.Apps {
-		pr, err := r.RunPair(a, webservice, SystemPC3D, 0.95)
-		if err != nil {
-			return FleetComparison{}, err
-		}
-		utils[a] = pr.Utilization
-	}
-	scale := datacenter.DefaultScale()
-	proj, err := datacenter.Project(scale, webservice, mix, utils)
-	if err != nil {
-		return FleetComparison{}, err
-	}
-
-	f, err := fleet.New(fleet.Config{
-		Servers:        len(mix.Apps),
+// fleetConfig is the starting point of every fleet figure: the scale's
+// durations, engine, fan-out and search cap, round-robin placement and the
+// paper's 95% target. Callers add the cluster size and what they study.
+func (r *Runner) fleetConfig(webservice string, mix datacenter.Mix, system System, seed int64) fleet.Config {
+	return fleet.Config{
 		Webservice:     webservice,
 		Mix:            mix,
-		System:         fleet.SystemPC3D,
+		System:         system,
 		Target:         0.95,
 		Policy:         fleet.RoundRobin{},
-		Seed:           1,
+		Seed:           seed,
 		Workers:        r.sc.Workers,
 		Engine:         r.sc.Engine,
 		SoloSeconds:    r.sc.SoloSeconds,
 		SettleSeconds:  r.sc.SettleSeconds,
 		MeasureSeconds: r.sc.MeasureSeconds,
 		MaxSites:       r.sc.MaxSites,
-	})
+	}
+}
+
+// runFleet builds and runs one fleet; the returned Fleet holds the run's
+// telemetry, alert and audit views.
+func runFleet(cfg fleet.Config) (*fleet.Fleet, fleet.Metrics, error) {
+	f, err := fleet.New(cfg)
+	if err != nil {
+		return nil, fleet.Metrics{}, err
+	}
+	m, err := f.Run()
+	return f, m, err
+}
+
+// offOn runs cfg(false) then cfg(true) — identical seed, placement, trace
+// and fault schedule, one mechanism switched — so every delta between the
+// two metrics is that mechanism's doing. The returned Fleet is the on run.
+func offOn(cfg func(on bool) fleet.Config) (off, on fleet.Metrics, f *fleet.Fleet, err error) {
+	if _, off, err = runFleet(cfg(false)); err == nil {
+		f, on, err = runFleet(cfg(true))
+	}
+	return off, on, f, err
+}
+
+// FleetCompare runs both routes for one (webservice, mix) pair at the
+// runner's scale. The simulated fleet hosts each mix app on exactly one
+// server, saturated, under PC3D at a 95% target — the same regime the
+// analytic projection assumes.
+func (r *Runner) FleetCompare(webservice string, mix datacenter.Mix) (FleetComparison, error) {
+	utils, err := r.pc3dUtilizations(webservice, mix.Apps)
 	if err != nil {
 		return FleetComparison{}, err
 	}
-	m, err := f.Run()
+	scale := datacenter.DefaultScale()
+	proj, err := datacenter.Project(scale, webservice, mix, utils)
+	if err != nil {
+		return FleetComparison{}, err
+	}
+	cfg := r.fleetConfig(webservice, mix, SystemPC3D, 1)
+	cfg.Servers = len(mix.Apps)
+	_, m, err := runFleet(cfg)
 	if err != nil {
 		return FleetComparison{}, err
 	}

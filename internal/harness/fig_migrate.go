@@ -30,25 +30,10 @@ func migrateMix() datacenter.Mix {
 // riding the crest. Migration, when enabled, is the only mechanism acting
 // on contention.
 func (r *Runner) migrateFleetConfig(migrate bool) fleet.Config {
-	cfg := fleet.Config{
-		Servers:        12,
-		Instances:      4,
-		Webservice:     "web-search",
-		Mix:            migrateMix(),
-		System:         fleet.SystemNone,
-		Policy:         fleet.RoundRobin{},
-		Seed:           7,
-		Workers:        r.sc.Workers,
-		Engine:         r.sc.Engine,
-		SoloSeconds:    r.sc.SoloSeconds,
-		SettleSeconds:  r.sc.SettleSeconds,
-		MeasureSeconds: r.sc.MeasureSeconds,
-		Trace: loadgen.Offset{
-			Trace: loadgen.Diurnal{Period: 60, Low: 0.25, High: 0.95},
-			By:    24,
-		},
-		PhaseSpreadSeconds: 60,
-	}
+	cfg := r.fleetConfig("web-search", migrateMix(), SystemNone, 7)
+	cfg.Servers, cfg.Instances = 12, 4
+	cfg.Trace = loadgen.Offset{Trace: loadgen.Diurnal{Period: 60, Low: 0.25, High: 0.95}, By: 24}
+	cfg.PhaseSpreadSeconds = 60
 	if migrate {
 		cfg.Migration = &fleet.MigrationConfig{
 			WindowSeconds:   0.5,
@@ -73,23 +58,8 @@ type MigrateComparison struct {
 // metrics is attributable to the contention-detection → live-migration
 // control loop.
 func (r *Runner) RunMigrateComparison() (MigrateComparison, error) {
-	var cmp MigrateComparison
-	for _, on := range []bool{false, true} {
-		f, err := fleet.New(r.migrateFleetConfig(on))
-		if err != nil {
-			return cmp, err
-		}
-		m, err := f.Run()
-		if err != nil {
-			return cmp, err
-		}
-		if on {
-			cmp.On = m
-		} else {
-			cmp.Off = m
-		}
-	}
-	return cmp, nil
+	off, on, _, err := offOn(r.migrateFleetConfig)
+	return MigrateComparison{Off: off, On: on}, err
 }
 
 // FigureMigrate is the migration control loop's headline artifact: the

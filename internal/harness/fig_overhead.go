@@ -9,29 +9,65 @@ import (
 	"repro/internal/progbin"
 )
 
+// aloneRun is one Figure 4–6 configuration of an app running alone.
+type aloneRun struct {
+	// protean runs the virtualized binary instead of the plain one.
+	protean bool
+	// dbt, when set, executes under a binary translator's cost model.
+	dbt *machine.DBTConfig
+	// stress > 0 attaches a protean runtime on runtimeCore (core.SameCore =
+	// the host's own) recompiling a random function every stress seconds.
+	stress      float64
+	runtimeCore int
+}
+
 // runAlone executes a binary alone for the stress duration and returns its
-// branch count (the work-rate numerator shared by Figures 4–6). When
-// stressInterval > 0 a protean runtime is attached (on runtimeCore, or the
-// host's own core for core.SameCore) with a recompilation stress driver.
-func (r *Runner) runAlone(bin *progbin.Binary, dbtCfg *machine.DBTConfig, stressInterval float64, runtimeCore int) (uint64, error) {
+// branch count (the work-rate numerator shared by Figures 4–6).
+func (r *Runner) runAlone(bin *progbin.Binary, v aloneRun) (uint64, error) {
 	m := machine.New(machine.Config{Cores: 4, Engine: r.sc.Engine})
-	p, err := m.Attach(0, bin, machine.ProcessConfig{Restart: true, DBT: dbtCfg})
+	p, err := m.Attach(0, bin, machine.ProcessConfig{Restart: true, DBT: v.dbt})
 	if err != nil {
 		return 0, err
 	}
-	if stressInterval > 0 {
-		rt, err := core.New(core.Config{Machine: m, Host: p, RuntimeCore: runtimeCore})
+	if v.stress > 0 {
+		rt, err := core.New(core.Config{Machine: m, Host: p, RuntimeCore: v.runtimeCore})
 		if err != nil {
 			return 0, err
 		}
 		m.AddAgent(rt)
-		s := core.NewStressRecompiler(rt, m.Cycles(stressInterval), 1)
-		m.AddAgent(s)
+		m.AddAgent(core.NewStressRecompiler(rt, m.Cycles(v.stress), 1))
 	}
-	m.RunSeconds(0.3) // warm
-	c0 := p.Counters()
-	m.RunSeconds(r.sc.StressSeconds)
-	return p.Counters().Sub(c0).Branches, nil
+	return window(m, 0.3, r.sc.StressSeconds, p)[0].Branches, nil
+}
+
+// slowdowns runs app natively and once per variant, returning each
+// variant's slowdown versus native (1.0 = free).
+func (r *Runner) slowdowns(app string, variants ...aloneRun) ([]float64, error) {
+	plain, err := r.binary(app, false)
+	if err != nil {
+		return nil, err
+	}
+	prot, err := r.binary(app, true)
+	if err != nil {
+		return nil, err
+	}
+	native, err := r.runAlone(plain, aloneRun{})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(variants))
+	for i, v := range variants {
+		bin := plain
+		if v.protean {
+			bin = prot
+		}
+		n, err := r.runAlone(bin, v)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = float64(native) / float64(n)
+	}
+	return out, nil
 }
 
 // Figure4 reproduces Figure 4: the overhead of virtualizing execution with
@@ -43,45 +79,20 @@ func (r *Runner) Figure4() (*Table, error) {
 		Title:   "Dynamic compiler overhead when making no code modifications (slowdown vs native)",
 		Columns: []string{"App", "protean code", "DynamoRIO"},
 	}
-	var sumP, sumD float64
 	apps := r.sc.specApps()
-	type overhead struct{ sp, sd float64 }
-	rows := make([]overhead, len(apps))
-	err := r.forEach(len(apps), func(i int) error {
-		app := apps[i]
-		plain, err := r.binary(app, false)
-		if err != nil {
-			return err
-		}
-		prot, err := r.binary(app, true)
-		if err != nil {
-			return err
-		}
-		native, err := r.runAlone(plain, nil, 0, 0)
-		if err != nil {
-			return err
-		}
-		protean, err := r.runAlone(prot, nil, 0, 0)
-		if err != nil {
-			return err
-		}
-		under, err := r.runAlone(plain, dbt.DynamoRIO(), 0, 0)
-		if err != nil {
-			return err
-		}
-		rows[i] = overhead{
-			sp: float64(native) / float64(protean),
-			sd: float64(native) / float64(under),
-		}
-		return nil
+	rows := make([][]float64, len(apps))
+	err := r.forEach(len(apps), func(i int) (err error) {
+		rows[i], err = r.slowdowns(apps[i], aloneRun{protean: true}, aloneRun{dbt: dbt.DynamoRIO()})
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	var sumP, sumD float64
 	for i, app := range apps {
-		sumP += rows[i].sp
-		sumD += rows[i].sd
-		t.AddRow(app, ratio(rows[i].sp), ratio(rows[i].sd))
+		sumP += rows[i][0]
+		sumD += rows[i][1]
+		t.AddRow(app, ratio(rows[i][0]), ratio(rows[i][1]))
 	}
 	n := float64(len(apps))
 	t.AddRow("Mean", ratio(sumP/n), ratio(sumD/n))
@@ -93,42 +104,20 @@ func (r *Runner) Figure4() (*Table, error) {
 // runtime (and compiler) on a separate core, recompiling random functions
 // at decreasing intervals. Values are slowdown versus native.
 func (r *Runner) Figure5() (*Table, error) {
-	intervals := []float64{5.0, 0.5, 0.05, 0.005} // 5000/500/50/5 ms
 	t := &Table{
 		ID:      "Figure 5",
 		Title:   "Dynamic compilation stress tests; compilation on a separate core (slowdown vs native)",
 		Columns: []string{"App", "Edge virt.", "5000ms", "500ms", "50ms", "5ms"},
 	}
+	variants := []aloneRun{{protean: true}}
+	for _, iv := range []float64{5.0, 0.5, 0.05, 0.005} {
+		variants = append(variants, aloneRun{protean: true, stress: iv, runtimeCore: 2})
+	}
 	apps := r.sc.specApps()
 	rows := make([][]float64, len(apps))
-	err := r.forEach(len(apps), func(i int) error {
-		app := apps[i]
-		plain, err := r.binary(app, false)
-		if err != nil {
-			return err
-		}
-		prot, err := r.binary(app, true)
-		if err != nil {
-			return err
-		}
-		native, err := r.runAlone(plain, nil, 0, 0)
-		if err != nil {
-			return err
-		}
-		protean, err := r.runAlone(prot, nil, 0, 0)
-		if err != nil {
-			return err
-		}
-		vals := []float64{float64(native) / float64(protean)}
-		for _, iv := range intervals {
-			stressed, err := r.runAlone(prot, nil, iv, 2)
-			if err != nil {
-				return err
-			}
-			vals = append(vals, float64(native)/float64(stressed))
-		}
-		rows[i] = vals
-		return nil
+	err := r.forEach(len(apps), func(i int) (err error) {
+		rows[i], err = r.slowdowns(apps[i], variants...)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -155,36 +144,13 @@ func (r *Runner) Figure6() (*Table, error) {
 		Columns: []string{"Interval", "Same Core", "Separate Core"},
 	}
 	apps := r.sc.specApps()
-	type cellRes struct{ same, sep float64 }
-	cells := make([]cellRes, len(intervals)*len(apps))
-	err := r.forEach(len(cells), func(i int) error {
+	cells := make([][]float64, len(intervals)*len(apps)) // {same, separate}
+	err := r.forEach(len(cells), func(i int) (err error) {
 		iv := intervals[i/len(apps)]
-		app := apps[i%len(apps)]
-		plain, err := r.binary(app, false)
-		if err != nil {
-			return err
-		}
-		prot, err := r.binary(app, true)
-		if err != nil {
-			return err
-		}
-		native, err := r.runAlone(plain, nil, 0, 0)
-		if err != nil {
-			return err
-		}
-		same, err := r.runAlone(prot, nil, iv, core.SameCore)
-		if err != nil {
-			return err
-		}
-		sep, err := r.runAlone(prot, nil, iv, 2)
-		if err != nil {
-			return err
-		}
-		cells[i] = cellRes{
-			same: float64(native) / float64(same),
-			sep:  float64(native) / float64(sep),
-		}
-		return nil
+		cells[i], err = r.slowdowns(apps[i%len(apps)],
+			aloneRun{protean: true, stress: iv, runtimeCore: core.SameCore},
+			aloneRun{protean: true, stress: iv, runtimeCore: 2})
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -192,8 +158,8 @@ func (r *Runner) Figure6() (*Table, error) {
 	for j, iv := range intervals {
 		var sumSame, sumSep float64
 		for k := range apps {
-			sumSame += cells[j*len(apps)+k].same
-			sumSep += cells[j*len(apps)+k].sep
+			sumSame += cells[j*len(apps)+k][0]
+			sumSep += cells[j*len(apps)+k][1]
 		}
 		n := float64(len(apps))
 		t.AddRow(fmt.Sprintf("%.0fms", iv*1000), ratio(sumSame/n), ratio(sumSep/n))

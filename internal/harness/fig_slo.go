@@ -68,30 +68,19 @@ func sloSpecs() []slo.Spec {
 // un-spread step trace. The overload level (1.25× peak) guarantees even
 // batch-free servers miss the 95% target once the step lands.
 func (r *Runner) sloFleetConfig() fleet.Config {
-	return fleet.Config{
-		Servers:        8,
-		Instances:      4,
-		Webservice:     "web-search",
-		Mix:            migrateMix(),
-		System:         fleet.SystemNone,
-		Policy:         fleet.RoundRobin{},
-		Seed:           7,
-		Workers:        r.sc.Workers,
-		Engine:         r.sc.Engine,
-		SoloSeconds:    0.5,
-		SettleSeconds:  0.25,
-		MeasureSeconds: 3.5,
-		Trace: loadgen.Steps{
-			{Until: sloBlipFrom, Load: 0.3},
-			{Until: sloBlipTo, Load: 0.7},
-			{Until: sloStepAt, Load: 0.3},
-			{Until: 1e9, Load: 1.25},
-		},
-		SLO: &fleet.SLOConfig{
-			WindowSeconds: sloWindowSeconds,
-			Specs:         sloSpecs(),
-		},
+	cfg := r.fleetConfig("web-search", migrateMix(), SystemNone, 7)
+	cfg.Servers, cfg.Instances = 8, 4
+	// The timeline above is in absolute seconds, so the durations are fixed
+	// rather than the scale's.
+	cfg.SoloSeconds, cfg.SettleSeconds, cfg.MeasureSeconds = 0.5, 0.25, 3.5
+	cfg.Trace = loadgen.Steps{
+		{Until: sloBlipFrom, Load: 0.3},
+		{Until: sloBlipTo, Load: 0.7},
+		{Until: sloStepAt, Load: 0.3},
+		{Until: 1e9, Load: 1.25},
 	}
+	cfg.SLO = &fleet.SLOConfig{WindowSeconds: sloWindowSeconds, Specs: sloSpecs()}
+	return cfg
 }
 
 // SLODetection is one alerting policy's measured outcome on the load step.
@@ -119,17 +108,11 @@ type SLOComparison struct {
 // RunSLOComparison executes the load-step fleet once; all three policies
 // evaluate against the same deterministic SLI series.
 func (r *Runner) RunSLOComparison() (SLOComparison, error) {
-	var cmp SLOComparison
-	f, err := fleet.New(r.sloFleetConfig())
+	f, m, err := runFleet(r.sloFleetConfig())
 	if err != nil {
-		return cmp, err
+		return SLOComparison{}, err
 	}
-	m, err := f.Run()
-	if err != nil {
-		return cmp, err
-	}
-	cmp.Metrics = m
-	cmp.Postmortems = m.Postmortems
+	cmp := SLOComparison{Metrics: m, Postmortems: m.Postmortems}
 	for _, spec := range sloSpecs() {
 		d := SLODetection{Spec: spec.Name, LatencyEpochs: -1}
 		for _, tr := range f.AlertTransitions() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/machine"
 	"repro/internal/telemetry"
 )
 
@@ -15,12 +14,11 @@ import (
 // the table answers "where did each transformation's wall time go" the way
 // the Chrome trace does visually.
 func (r *Runner) FigureSpans() (*Table, error) {
-	const samples = 30
-	_, reg, err := r.runTrace(SystemPC3D, samples)
+	run, err := r.trace(SystemPC3D)
 	if err != nil {
 		return nil, err
 	}
-	freq := machine.New(machine.Config{}).Config().FreqHz
+	reg, freq := run.reg, run.freqHz
 
 	spans := reg.Spans()
 	if len(spans) == 0 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/isa"
-	"repro/internal/machine"
 	"repro/internal/pc3d"
 	"repro/internal/sampling"
 	"repro/internal/workload"
@@ -132,12 +131,11 @@ func (r *Runner) Figure8() (*Table, error) {
 		if err != nil {
 			return err
 		}
-		m := machine.New(machine.Config{Cores: 2, Engine: r.sc.Engine})
-		p, err := m.Attach(0, bin, machine.ProcessConfig{Restart: true})
+		m, ps, err := r.attach(2, bin)
 		if err != nil {
 			return err
 		}
-		sampler := sampling.NewPCSampler(p, m.Config().QuantumCycles)
+		sampler := sampling.NewPCSampler(ps[0], m.Config().QuantumCycles)
 		m.AddAgent(sampler)
 		m.RunSeconds(1)
 		emb, err := bin.DecodeIR()

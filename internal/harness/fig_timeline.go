@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/telemetry"
 )
 
@@ -14,16 +13,12 @@ import (
 // and the host's nap level at the end of the slice. It is the
 // event-plane companion to Figure 16's sampled series.
 func (r *Runner) FigureTimeline() (*Table, error) {
-	const samples = 30
-	_, reg, err := r.runTrace(SystemPC3D, samples)
+	run, err := r.trace(SystemPC3D)
 	if err != nil {
 		return nil, err
 	}
-
-	// runTrace builds its machine with default machine.Config, so event
-	// cycle stamps convert to seconds at the default clock.
-	freq := machine.New(machine.Config{}).Config().FreqHz
-	interval := r.sc.TraceSeconds / float64(samples)
+	reg, freq := run.reg, run.freqHz
+	interval := r.sc.TraceSeconds / traceSamples
 	type slot struct {
 		started, finished, failed int
 		dispatches, reverts       int
@@ -31,14 +26,14 @@ func (r *Runner) FigureTimeline() (*Table, error) {
 		nap                       float64
 		napSet                    bool
 	}
-	slots := make([]slot, samples)
+	slots := make([]slot, traceSamples)
 	for _, ev := range reg.Events() {
 		i := int(float64(ev.At) / freq / interval)
 		if i < 0 {
 			i = 0
 		}
-		if i >= samples {
-			i = samples - 1
+		if i >= traceSamples {
+			i = traceSamples - 1
 		}
 		s := &slots[i]
 		switch ev.Kind {

@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/loadgen"
 	"repro/internal/machine"
-	"repro/internal/pc3d"
-	"repro/internal/phase"
-	"repro/internal/qos"
-	"repro/internal/reqos"
 	"repro/internal/sampling"
 	"repro/internal/telemetry"
 )
@@ -24,26 +20,50 @@ type traceSample struct {
 	nap         float64
 }
 
-// runTrace executes the Figure 16 experiment for one system: libquantum
-// (host) co-located with web-search under the fluctuating load trace,
-// sampled at regular intervals. The returned registry holds the run's
-// counters and event trace (figtimeline renders the latter).
-func (r *Runner) runTrace(system System, samples int) ([]traceSample, *telemetry.Registry, error) {
+// traceSamples is the Figure 16 series length; figtimeline buckets events
+// on the same grid.
+const traceSamples = 30
+
+// traceRun is one system's memoized Figure 16 run: the sampled series, the
+// registry holding its counters, event trace and spans (figtimeline and
+// figspans render those), and the clock that converts their cycle stamps.
+type traceRun struct {
+	series []traceSample
+	reg    *telemetry.Registry
+	freqHz float64
+}
+
+// trace runs (once per system) the Figure 16 experiment: libquantum (host)
+// co-located with web-search under the fluctuating load trace, sampled at
+// regular intervals.
+func (r *Runner) trace(system System) (traceRun, error) {
+	if system != SystemPC3D && system != SystemReQoS {
+		return traceRun{}, fmt.Errorf("harness: trace experiment supports PC3D and ReQoS, not %v", system)
+	}
+	return r.traces.get(system, func() (traceRun, error) { return r.runTrace(system) })
+}
+
+func (r *Runner) runTrace(system System) (traceRun, error) {
+	r.traceRuns.Add(1)
 	const hostName, wsName = "libquantum", "web-search"
 	hostSolo, err := r.Solo(hostName)
 	if err != nil {
-		return nil, nil, err
+		return traceRun{}, err
+	}
+	wsBin, err := r.binary(wsName, false)
+	if err != nil {
+		return traceRun{}, err
+	}
+	hb, err := r.binary(hostName, system == SystemPC3D)
+	if err != nil {
+		return traceRun{}, err
 	}
 
 	// Measure the webservice's solo peak capacity (requests/second).
-	wsBin, err := r.binary(wsName, false)
-	if err != nil {
-		return nil, nil, err
-	}
 	cm := machine.New(machine.Config{Cores: 4, Engine: r.sc.Engine})
 	cp, err := cm.Attach(0, wsBin, machine.ProcessConfig{Gated: true})
 	if err != nil {
-		return nil, nil, err
+		return traceRun{}, err
 	}
 	capacity := loadgen.MeasureCapacity(cm, cp, int(2*cm.Config().FreqHz/float64(cm.Config().QuantumCycles)))
 
@@ -52,83 +72,52 @@ func (r *Runner) runTrace(system System, samples int) ([]traceSample, *telemetry
 	// accumulators.
 	reg := telemetry.New(telemetry.Config{})
 	m := machine.New(machine.Config{Cores: 4, Engine: r.sc.Engine, Telemetry: reg})
-	wsBin2, err := r.binary(wsName, false)
+	ws, err := m.Attach(0, wsBin, machine.ProcessConfig{Gated: true})
 	if err != nil {
-		return nil, nil, err
-	}
-	ws, err := m.Attach(0, wsBin2, machine.ProcessConfig{Gated: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	hb, err := r.binary(hostName, system == SystemPC3D)
-	if err != nil {
-		return nil, nil, err
+		return traceRun{}, err
 	}
 	host, err := m.Attach(1, hb, machine.ProcessConfig{Restart: true})
 	if err != nil {
-		return nil, nil, err
+		return traceRun{}, err
 	}
-
 	gen := loadgen.NewGenerator(ws, loadgen.Figure16(r.sc.TraceSeconds), capacity)
 	m.AddAgent(gen)
-	tq := qos.NewThroughputQoS(m, ws, gen)
-	m.AddAgent(tq)
-
-	var rt *core.Runtime
-	switch system {
-	case SystemPC3D:
-		rt, err = core.New(core.Config{Machine: m, Host: host, RuntimeCore: 2, Telemetry: reg})
-		if err != nil {
-			return nil, nil, err
-		}
-		m.AddAgent(rt)
-		extSig := func(mm *machine.Machine) phase.Signature {
-			return phase.Signature{Rate: gen.CurrentLoad(mm)}
-		}
-		ctrl := pc3d.New(pc3d.Config{
-			Runtime: rt, Steady: tq, Window: &qos.ThroughputWindow{Proc: ws, Gen: gen}, ExtSig: extSig,
-			Target: 0.95, MaxSites: r.sc.MaxSites, Telemetry: reg,
-		})
-		defer ctrl.Close()
-		m.AddAgent(ctrl)
-	case SystemReQoS:
-		m.AddAgent(reqos.New(reqos.Config{Host: host, Source: tq, Target: 0.95}))
-	default:
-		return nil, nil, fmt.Errorf("harness: trace experiment supports PC3D and ReQoS, not %v", system)
+	st, err := fleet.AttachStack(fleet.StackConfig{
+		Machine: m, Ext: ws, Host: host, Gen: gen,
+		System: system, Target: 0.95, MaxSites: r.sc.MaxSites, Telemetry: reg,
+	})
+	if err != nil {
+		return traceRun{}, err
 	}
+	defer st.Close()
 
 	// rtCycles reads the runtime's cumulative cycle spend from the
-	// telemetry registry; the per-sample delta replaces the old
-	// hand-carried rt.CyclesUsed() accumulator.
+	// telemetry registry (zero without a runtime).
 	rtCycles := func() float64 {
 		return float64(reg.CounterValue("core", "compile_cycles_total") +
 			reg.CounterValue("core", "monitor_cycles_total"))
 	}
 	hostMeter := sampling.NewMeter(host)
 	hostMeter.Read(m)
-	var series []traceSample
-	interval := r.sc.TraceSeconds / float64(samples)
+	run := traceRun{reg: reg, freqHz: m.Config().FreqHz}
+	interval := r.sc.TraceSeconds / traceSamples
 	lastUsed := rtCycles()
-	for i := 0; i < samples; i++ {
+	for i := 0; i < traceSamples; i++ {
 		m.RunSeconds(interval)
 		hr := hostMeter.Read(m)
-		q, _ := tq.QoS()
-		s := traceSample{
-			t:        m.NowSeconds(),
-			load:     gen.CurrentLoad(m),
-			hostUtil: hr.BPS / hostSolo.BPS,
-			wsQoS:    q,
-			nap:      host.NapIntensity(),
-		}
-		if rt != nil {
-			used := rtCycles()
-			dt := interval * m.Config().FreqHz * float64(m.Config().Cores)
-			s.runtimeFrac = (used - lastUsed) / dt
-			lastUsed = used
-		}
-		series = append(series, s)
+		q, _ := st.Source.QoS()
+		used := rtCycles()
+		run.series = append(run.series, traceSample{
+			t:           m.NowSeconds(),
+			load:        gen.CurrentLoad(m),
+			hostUtil:    hr.BPS / hostSolo.BPS,
+			wsQoS:       q,
+			runtimeFrac: (used - lastUsed) / (interval * run.freqHz * float64(m.Config().Cores)),
+			nap:         host.NapIntensity(),
+		})
+		lastUsed = used
 	}
-	return series, reg, nil
+	return run, nil
 }
 
 // Figure16 reproduces Figure 16: the dynamic behaviour of libquantum
@@ -137,12 +126,11 @@ func (r *Runner) runTrace(system System, samples int) ([]traceSample, *telemetry
 // third, and high again (the paper's 900 s compressed to the scale's
 // TraceSeconds).
 func (r *Runner) Figure16() (*Table, error) {
-	const samples = 30
-	pcSeries, _, err := r.runTrace(SystemPC3D, samples)
+	pc, err := r.trace(SystemPC3D)
 	if err != nil {
 		return nil, err
 	}
-	rqSeries, _, err := r.runTrace(SystemReQoS, samples)
+	rq, err := r.trace(SystemReQoS)
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +142,8 @@ func (r *Runner) Figure16() (*Table, error) {
 			"PC3D ws QoS", "ReQoS ws QoS", "PC3D runtime %", "PC3D nap",
 		},
 	}
-	for i := range pcSeries {
-		p, q := pcSeries[i], rqSeries[i]
+	for i, p := range pc.series {
+		q := rq.series[i]
 		t.AddRow(
 			fmt.Sprintf("%.1f", p.t), fmt.Sprintf("%.2f", p.load),
 			pct(p.hostUtil), pct(q.hostUtil),
@@ -182,15 +170,14 @@ type TraceSummary struct {
 
 // SummarizeTrace computes phase means for one system's trace run.
 func (r *Runner) SummarizeTrace(system System) (TraceSummary, error) {
-	const samples = 30
-	series, _, err := r.runTrace(system, samples)
+	run, err := r.trace(system)
 	if err != nil {
 		return TraceSummary{}, err
 	}
 	var s TraceSummary
 	var hiSum, hiN, loSum, loN, qSum, qN float64
 	third := r.sc.TraceSeconds / 3
-	for _, p := range series {
+	for _, p := range run.series {
 		// Skip transition samples near the load steps (searches run there).
 		slack := r.sc.TraceSeconds / 10
 		inLow := p.t > third+slack && p.t < 2*third

@@ -1,84 +1,72 @@
 package harness
 
-import "fmt"
+import (
+	"fmt"
 
-// Figure9to11 reproduces Figures 9, 10 and 11: the utilization PC3D
-// recovers for each batch application co-located with one webservice, at
-// QoS targets of 90/95/98%.
-func (r *Runner) Figure9to11(webservice string) (*Table, error) {
-	id := map[string]string{
-		"web-search":      "Figure 9",
-		"media-streaming": "Figure 10",
-		"graph-analytics": "Figure 11",
-	}[webservice]
-	if id == "" {
-		return nil, fmt.Errorf("harness: %q is not a Figure 9-11 webservice", webservice)
+	"repro/internal/workload"
+)
+
+// gridFigure is one of Figures 9–14: every batch host co-located with one
+// webservice under PC3D at each QoS target, one PairResult field per cell.
+type gridFigure struct {
+	n          int // paper figure number
+	webservice string
+	title      string
+	cell       func(PairResult) float64
+	mean       bool // append a per-target mean row
+	note       string
+}
+
+// gridFigures lists Figures 9–11 (the utilization PC3D recovers per
+// webservice) and 12–14 (the QoS the webservice actually receives during
+// the same runs), in paper order.
+func gridFigures() []gridFigure {
+	var util, qos []gridFigure
+	for i, ws := range workload.Webservices() {
+		util = append(util, gridFigure{
+			n: 9 + i, webservice: ws,
+			title: fmt.Sprintf("Utilization of batch applications running with %s (PC3D)", ws),
+			cell:  func(pr PairResult) float64 { return pr.Utilization }, mean: true,
+			note: "paper means vs web-search: 81/67/49% at 90/95/98% targets; media-streaming is most sensitive",
+		})
+		qos = append(qos, gridFigure{
+			n: 12 + i, webservice: ws,
+			title: fmt.Sprintf("QoS of %s running with batch applications (PC3D)", ws),
+			cell:  func(pr PairResult) float64 { return pr.QoS },
+			note:  "paper: PC3D reliably meets its QoS targets",
+		})
 	}
-	targets := r.sc.targets()
-	t := &Table{
-		ID:      id,
-		Title:   fmt.Sprintf("Utilization of batch applications running with %s (PC3D)", webservice),
-		Columns: append([]string{"App"}, targetCols(targets)...),
-	}
-	var sums = make([]float64, len(targets))
-	hosts := r.sc.hosts()
-	if err := r.prefetchPairs(pairGrid(hosts, []string{webservice}, []System{SystemPC3D}, targets)); err != nil {
+	return append(util, qos...)
+}
+
+// table renders the figure from the runner's memoized pair runs.
+func (g gridFigure) table(r *Runner) (*Table, error) {
+	targets, hosts := r.sc.targets(), r.sc.hosts()
+	t := &Table{ID: fmt.Sprintf("Figure %d", g.n), Title: g.title, Columns: append([]string{"App"}, targetCols(targets)...)}
+	if err := r.prefetchPairs(pairGrid(hosts, []string{g.webservice}, []System{SystemPC3D}, targets)); err != nil {
 		return nil, err
 	}
+	sums := make([]float64, len(targets))
 	for _, host := range hosts {
 		row := []any{host}
 		for i, tgt := range targets {
-			pr, err := r.RunPair(host, webservice, SystemPC3D, tgt)
+			pr, err := r.RunPair(host, g.webservice, SystemPC3D, tgt)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, pct(pr.Utilization))
-			sums[i] += pr.Utilization
+			row = append(row, pct(g.cell(pr)))
+			sums[i] += g.cell(pr)
 		}
 		t.AddRow(row...)
 	}
-	mean := []any{"Mean"}
-	for _, s := range sums {
-		mean = append(mean, pct(s/float64(len(hosts))))
-	}
-	t.AddRow(mean...)
-	t.Notes = append(t.Notes,
-		"paper means vs web-search: 81/67/49% at 90/95/98% targets; media-streaming is most sensitive")
-	return t, nil
-}
-
-// Figure12to14 reproduces Figures 12, 13 and 14: the QoS the webservice
-// actually receives during the same runs.
-func (r *Runner) Figure12to14(webservice string) (*Table, error) {
-	id := map[string]string{
-		"web-search":      "Figure 12",
-		"media-streaming": "Figure 13",
-		"graph-analytics": "Figure 14",
-	}[webservice]
-	if id == "" {
-		return nil, fmt.Errorf("harness: %q is not a Figure 12-14 webservice", webservice)
-	}
-	targets := r.sc.targets()
-	t := &Table{
-		ID:      id,
-		Title:   fmt.Sprintf("QoS of %s running with batch applications (PC3D)", webservice),
-		Columns: append([]string{"App"}, targetCols(targets)...),
-	}
-	if err := r.prefetchPairs(pairGrid(r.sc.hosts(), []string{webservice}, []System{SystemPC3D}, targets)); err != nil {
-		return nil, err
-	}
-	for _, host := range r.sc.hosts() {
-		row := []any{host}
-		for _, tgt := range targets {
-			pr, err := r.RunPair(host, webservice, SystemPC3D, tgt)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct(pr.QoS))
+	if g.mean {
+		mean := []any{"Mean"}
+		for _, s := range sums {
+			mean = append(mean, pct(s/float64(len(hosts))))
 		}
-		t.AddRow(row...)
+		t.AddRow(mean...)
 	}
-	t.Notes = append(t.Notes, "paper: PC3D reliably meets its QoS targets")
+	t.Notes = append(t.Notes, g.note)
 	return t, nil
 }
 

@@ -3,9 +3,12 @@
 // experiments behind every table and figure, and renders the same rows and
 // series the paper reports.
 //
-// All experiments run through a Runner, which memoizes solo-rate
-// calibrations and pair results so figures that share underlying runs
-// (e.g. Figures 9–14, or Figures 15 and 17) measure once. A Scale selects
+// All experiments run through a Runner, which memoizes compiled binaries,
+// solo-rate calibrations, pair results and the Figure 16 trace runs so
+// figures that share underlying runs (e.g. Figures 9–14, Figures 15 and
+// 17, or Figure 16 and its timeline and span views) measure once. Every
+// co-located server is the same fleet.AttachStack a fleet server runs, and
+// every steady-state number is read through one window. A Scale selects
 // experiment durations: FullScale approximates the paper's coverage;
 // QuickScale and BenchScale shrink durations and rosters for fast test and
 // benchmark runs while preserving every experiment's shape.
@@ -17,14 +20,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/machine"
 	"repro/internal/pc3d"
-	"repro/internal/phase"
 	"repro/internal/progbin"
-	"repro/internal/qos"
-	"repro/internal/reqos"
 	"repro/internal/workload"
 )
 
@@ -80,8 +79,8 @@ func QuickScale() Scale {
 	}
 }
 
-// BenchScale is the smallest shape-preserving configuration, used by the
-// bench_test.go harness.
+// BenchScale is the smallest shape-preserving configuration: the scale of
+// the check tests, scripts/corpus.sh and the bench/ module.
 func BenchScale() Scale {
 	return Scale{
 		Name: "bench", SoloSeconds: 1, SettleSeconds: 5.5, MeasureSeconds: 1,
@@ -188,18 +187,38 @@ type pairKey struct {
 	target    float64
 }
 
-// cell is a single-flight memoization slot: the first caller runs the
-// experiment inside the sync.Once while latecomers for the same key block
-// on it, so concurrent figure drivers measure each key exactly once
-// (previously a check-unlock-run-store pattern let two callers race past
-// the check and both run the full experiment).
-type cell[T any] struct {
+type binKey struct {
+	name    string
+	protean bool
+}
+
+// cell is one memo slot: the first caller runs the experiment inside the
+// sync.Once while latecomers for the same key block on it, so concurrent
+// figure drivers measure each key exactly once.
+type cell[V any] struct {
 	once sync.Once
-	val  T
+	val  V
 	err  error
 }
 
-func (c *cell[T]) do(f func() (T, error)) (T, error) {
+// memo is a single-flight memo table; the zero value is ready.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*cell[V]
+}
+
+// get returns k's value, running f for it at most once.
+func (mm *memo[K, V]) get(k K, f func() (V, error)) (V, error) {
+	mm.mu.Lock()
+	if mm.m == nil {
+		mm.m = make(map[K]*cell[V])
+	}
+	c := mm.m[k]
+	if c == nil {
+		c = &cell[V]{}
+		mm.m[k] = c
+	}
+	mm.mu.Unlock()
 	c.once.Do(func() { c.val, c.err = f() })
 	return c.val, c.err
 }
@@ -209,44 +228,25 @@ func (c *cell[T]) do(f func() (T, error)) (T, error) {
 type Runner struct {
 	sc Scale
 
-	mu    sync.Mutex
-	solo  map[string]*cell[SoloRates]
-	pairs map[pairKey]*cell[PairResult]
-	bins  map[string]*cell[*progbin.Binary] // compiled binaries, keyed name+mode
+	bins   memo[binKey, *progbin.Binary]
+	solo   memo[string, SoloRates]
+	pairs  memo[pairKey, PairResult]
+	traces memo[System, traceRun]
 
-	// soloRuns/pairRuns count actual experiment executions (not memoized
-	// hits), so tests can assert in-flight deduplication.
-	soloRuns atomic.Int64
-	pairRuns atomic.Int64
+	// soloRuns/pairRuns/traceRuns count actual experiment executions (not
+	// memoized hits), so tests can assert in-flight deduplication.
+	soloRuns, pairRuns, traceRuns atomic.Int64
 }
 
 // NewRunner builds a runner at the given scale.
-func NewRunner(sc Scale) *Runner {
-	return &Runner{
-		sc:    sc,
-		solo:  make(map[string]*cell[SoloRates]),
-		pairs: make(map[pairKey]*cell[PairResult]),
-		bins:  make(map[string]*cell[*progbin.Binary]),
-	}
-}
+func NewRunner(sc Scale) *Runner { return &Runner{sc: sc} }
 
 // Scale returns the runner's scale.
 func (r *Runner) Scale() Scale { return r.sc }
 
 // binary compiles (and caches) an app in plain or protean mode.
 func (r *Runner) binary(name string, protean bool) (*progbin.Binary, error) {
-	key := name
-	if protean {
-		key += "+protean"
-	}
-	r.mu.Lock()
-	c := r.bins[key]
-	if c == nil {
-		c = &cell[*progbin.Binary]{}
-		r.bins[key] = c
-	}
-	r.mu.Unlock()
-	return c.do(func() (*progbin.Binary, error) {
+	return r.bins.get(binKey{name, protean}, func() (*progbin.Binary, error) {
 		spec, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown app %q", name)
@@ -258,37 +258,59 @@ func (r *Runner) binary(name string, protean bool) (*progbin.Binary, error) {
 	})
 }
 
-// Solo measures (and caches) an app's interference-free IPS and BPS.
-func (r *Runner) Solo(name string) (SoloRates, error) {
-	r.mu.Lock()
-	c := r.solo[name]
-	if c == nil {
-		c = &cell[SoloRates]{}
-		r.solo[name] = c
+// attach builds a fresh machine on the scale's engine and attaches bins to
+// cores 0, 1, … as restarting processes.
+func (r *Runner) attach(cores int, bins ...*progbin.Binary) (*machine.Machine, []*machine.Process, error) {
+	m := machine.New(machine.Config{Cores: cores, Engine: r.sc.Engine})
+	procs := make([]*machine.Process, len(bins))
+	for i, b := range bins {
+		p, err := m.Attach(i, b, machine.ProcessConfig{Restart: true})
+		if err != nil {
+			return nil, nil, err
+		}
+		procs[i] = p
 	}
-	r.mu.Unlock()
-	return c.do(func() (SoloRates, error) { return r.runSolo(name) })
+	return m, procs, nil
 }
 
-func (r *Runner) runSolo(name string) (SoloRates, error) {
-	r.soloRuns.Add(1)
-	bin, err := r.binary(name, false)
-	if err != nil {
+// window is the one measurement every figure makes: run warm seconds,
+// then return each process's counter deltas over the next seconds.
+func window(m *machine.Machine, warm, seconds float64, procs ...*machine.Process) []machine.Counters {
+	m.RunSeconds(warm)
+	d := make([]machine.Counters, len(procs))
+	for i, p := range procs {
+		d[i] = p.Counters()
+	}
+	m.RunSeconds(seconds)
+	for i, p := range procs {
+		d[i] = p.Counters().Sub(d[i])
+	}
+	return d
+}
+
+// Solo measures (and caches) an app's interference-free IPS and BPS over
+// SoloSeconds after a 0.5 s warmup. A scale the run cannot honour is an
+// error (Scale.validate), not a division by a zero window.
+func (r *Runner) Solo(name string) (SoloRates, error) {
+	if err := r.sc.validate(); err != nil {
 		return SoloRates{}, err
 	}
-	m := machine.New(machine.Config{Cores: 4, Engine: r.sc.Engine})
-	p, err := m.Attach(0, bin, machine.ProcessConfig{Restart: true})
-	if err != nil {
-		return SoloRates{}, err
-	}
-	m.RunSeconds(0.5)
-	c0 := p.Counters()
-	m.RunSeconds(r.sc.SoloSeconds)
-	d := p.Counters().Sub(c0)
-	return SoloRates{
-		IPS: float64(d.Insts) / r.sc.SoloSeconds,
-		BPS: float64(d.Branches) / r.sc.SoloSeconds,
-	}, nil
+	return r.solo.get(name, func() (SoloRates, error) {
+		r.soloRuns.Add(1)
+		bin, err := r.binary(name, false)
+		if err != nil {
+			return SoloRates{}, err
+		}
+		m, ps, err := r.attach(4, bin)
+		if err != nil {
+			return SoloRates{}, err
+		}
+		d := window(m, 0.5, r.sc.SoloSeconds, ps...)[0]
+		return SoloRates{
+			IPS: float64(d.Insts) / r.sc.SoloSeconds,
+			BPS: float64(d.Branches) / r.sc.SoloSeconds,
+		}, nil
+	})
 }
 
 // RunPair executes one co-location experiment: ext (high priority, plain)
@@ -304,15 +326,9 @@ func (r *Runner) RunPair(host, ext string, system System, target float64) (PairR
 	if err := r.sc.validate(); err != nil {
 		return PairResult{}, err
 	}
-	key := pairKey{host: host, ext: ext, system: system, target: target}
-	r.mu.Lock()
-	c := r.pairs[key]
-	if c == nil {
-		c = &cell[PairResult]{}
-		r.pairs[key] = c
-	}
-	r.mu.Unlock()
-	return c.do(func() (PairResult, error) { return r.runPair(host, ext, system, target) })
+	return r.pairs.get(pairKey{host, ext, system, target}, func() (PairResult, error) {
+		return r.runPair(host, ext, system, target)
+	})
 }
 
 func (r *Runner) runPair(host, ext string, system System, target float64) (PairResult, error) {
@@ -325,13 +341,7 @@ func (r *Runner) runPair(host, ext string, system System, target float64) (PairR
 	if err != nil {
 		return PairResult{}, err
 	}
-
-	m := machine.New(machine.Config{Cores: 4, Engine: r.sc.Engine})
 	eb, err := r.binary(ext, false)
-	if err != nil {
-		return PairResult{}, err
-	}
-	ep, err := m.Attach(0, eb, machine.ProcessConfig{Restart: true})
 	if err != nil {
 		return PairResult{}, err
 	}
@@ -339,56 +349,24 @@ func (r *Runner) runPair(host, ext string, system System, target float64) (PairR
 	if err != nil {
 		return PairResult{}, err
 	}
-	hp, err := m.Attach(1, hb, machine.ProcessConfig{Restart: true})
+	m, ps, err := r.attach(4, eb, hb)
 	if err != nil {
 		return PairResult{}, err
 	}
-
-	flux := qos.NewFluxMonitor(m, hp, ep, 0, 0)
-	flux.ReferenceIPS = extSolo.IPS
-	m.AddAgent(flux)
-
-	var rt *core.Runtime
-	var ctrl *pc3d.Controller
-	switch system {
-	case SystemPC3D:
-		rt, err = core.New(core.Config{Machine: m, Host: hp, RuntimeCore: 2})
-		if err != nil {
-			return PairResult{}, err
-		}
-		m.AddAgent(rt)
-		extSig := func(*machine.Machine) phase.Signature {
-			solo, _ := flux.SoloIPS()
-			return phase.Signature{Rate: solo}
-		}
-		ctrl = pc3d.New(pc3d.Config{
-			Runtime: rt, Steady: flux, Window: &qos.FluxWindow{Flux: flux, Ext: ep}, ExtSig: extSig,
-			Target: target, MaxSites: r.sc.MaxSites,
-		})
-		defer ctrl.Close()
-		m.AddAgent(ctrl)
-	case SystemReQoS:
-		m.AddAgent(reqos.New(reqos.Config{Host: hp, Source: flux, Target: target}))
-	case SystemNone:
-		// No mitigation.
+	st, err := fleet.AttachStack(fleet.StackConfig{
+		Machine: m, Ext: ps[0], Host: ps[1], ExtSoloIPS: extSolo.IPS,
+		System: system, Target: target, MaxSites: r.sc.MaxSites,
+	})
+	if err != nil {
+		return PairResult{}, err
 	}
-
-	m.RunSeconds(r.sc.SettleSeconds)
-	e0, h0 := ep.Counters(), hp.Counters()
-	m.RunSeconds(r.sc.MeasureSeconds)
-	ed := ep.Counters().Sub(e0)
-	hd := hp.Counters().Sub(h0)
-
-	pr := PairResult{
+	defer st.Close()
+	d := window(m, r.sc.SettleSeconds, r.sc.MeasureSeconds, ps...)
+	return PairResult{
 		Host: host, Ext: ext, System: system, Target: target,
-		Utilization: float64(hd.Branches) / r.sc.MeasureSeconds / hostSolo.BPS,
-		QoS:         float64(ed.Insts) / r.sc.MeasureSeconds / extSolo.IPS,
-	}
-	if rt != nil {
-		pr.RuntimeFrac = rt.ServerCycleFraction()
-	}
-	if ctrl != nil {
-		pr.PC3D = ctrl.Stats()
-	}
-	return pr, nil
+		Utilization: float64(d[1].Branches) / r.sc.MeasureSeconds / hostSolo.BPS,
+		QoS:         float64(d[0].Insts) / r.sc.MeasureSeconds / extSolo.IPS,
+		RuntimeFrac: st.RuntimeFrac(),
+		PC3D:        st.Stats(),
+	}, nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -243,8 +244,22 @@ func TestRunPairRejectsNonsense(t *testing.T) {
 		if strings.Contains(fmt.Sprint(err), "\n") {
 			t.Errorf("%s: error spans lines: %q", tc.name, err)
 		}
-		if s, p := r.soloRuns.Load(), r.pairRuns.Load(); s != 0 || p != 0 || len(r.pairs) != 0 {
-			t.Errorf("%s: %d solo runs, %d pair runs, %d memo cells; want none", tc.name, s, p, len(r.pairs))
+		if s, p := r.soloRuns.Load(), r.pairRuns.Load(); s != 0 || p != 0 || len(r.pairs.m) != 0 {
+			t.Errorf("%s: %d solo runs, %d pair runs, %d memo cells; want none", tc.name, s, p, len(r.pairs.m))
+		}
+	}
+	// Solo divides by its window too: the same scales are errors there,
+	// before the memo is touched.
+	for _, solo := range []float64{0, -2, nan, inf} {
+		sc := BenchScale()
+		sc.SoloSeconds = solo
+		r := NewRunner(sc)
+		rates, err := r.Solo("libquantum")
+		if err == nil || !strings.Contains(err.Error(), "SoloSeconds") {
+			t.Errorf("Solo with SoloSeconds = %v: rates %+v, err = %v; want one naming SoloSeconds", solo, rates, err)
+		}
+		if r.soloRuns.Load() != 0 || len(r.solo.m) != 0 {
+			t.Errorf("Solo with SoloSeconds = %v: %d runs, %d memo cells; want none", solo, r.soloRuns.Load(), len(r.solo.m))
 		}
 	}
 	// A zero settle is legal: validate accepts it (and every stock scale).
@@ -258,13 +273,20 @@ func TestRunPairRejectsNonsense(t *testing.T) {
 }
 
 func TestFigure9MeetsTargets(t *testing.T) {
-	tab, err := shared.Figure9to11("web-search")
-	if err != nil {
-		t.Fatalf("Figure9to11: %v", err)
+	figs := gridFigures()
+	if len(figs) != 6 || figs[0].n != 9 || figs[3].n != 12 || figs[0].webservice != "web-search" || figs[3].webservice != "web-search" {
+		t.Fatalf("grid figures = %+v, want Figures 9-14 with web-search first", figs)
 	}
-	qtab, err := shared.Figure12to14("web-search")
+	tab, err := figs[0].table(shared)
 	if err != nil {
-		t.Fatalf("Figure12to14: %v", err)
+		t.Fatalf("Figure 9: %v", err)
+	}
+	qtab, err := figs[3].table(shared)
+	if err != nil {
+		t.Fatalf("Figure 12: %v", err)
+	}
+	if tab.ID != "Figure 9" || qtab.ID != "Figure 12" {
+		t.Errorf("table IDs %q, %q", tab.ID, qtab.ID)
 	}
 	targets := shared.Scale().targets()
 	for _, row := range qtab.Rows {
@@ -275,9 +297,11 @@ func TestFigure9MeetsTargets(t *testing.T) {
 			}
 		}
 	}
-	// Utilization rows exist for every host plus a mean.
-	if len(tab.Rows) != len(shared.Scale().hosts())+1 {
-		t.Errorf("utilization rows = %d", len(tab.Rows))
+	// Utilization rows exist for every host plus a mean; the QoS figure has
+	// no mean row.
+	hosts := len(shared.Scale().hosts())
+	if len(tab.Rows) != hosts+1 || tab.Rows[hosts][0] != "Mean" || len(qtab.Rows) != hosts {
+		t.Errorf("utilization rows = %d, QoS rows = %d for %d hosts", len(tab.Rows), len(qtab.Rows), hosts)
 	}
 }
 
@@ -431,39 +455,33 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestArtifactsRegistry(t *testing.T) {
+	want := []string{
+		"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2",
+		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "table3",
+		"fig17", "fig18", "fig17sim", "figchaos", "figmigrate", "figchaosmigrate", "figslo",
+		"figtimeline", "figspans",
+	}
 	arts := Artifacts()
 	if len(arts) != 27 {
 		t.Errorf("artifacts = %d, want 27", len(arts))
 	}
-	if _, err := ArtifactByKey("figchaos"); err != nil {
-		t.Errorf("figchaos missing: %v", err)
+	var got []string
+	for _, a := range arts {
+		got = append(got, a.Key)
+		if a.Name == "" || a.Run == nil {
+			t.Errorf("%s: incomplete artifact %+v", a.Key, a)
+		}
+		if b, err := ArtifactByKey(a.Key); err != nil || b.Name != a.Name {
+			t.Errorf("ArtifactByKey(%s) = %q, %v", a.Key, b.Name, err)
+		}
 	}
-	if _, err := ArtifactByKey("figmigrate"); err != nil {
-		t.Errorf("figmigrate missing: %v", err)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("artifact keys (paper order):\n got %v\nwant %v", got, want)
 	}
-	if _, err := ArtifactByKey("figchaosmigrate"); err != nil {
-		t.Errorf("figchaosmigrate missing: %v", err)
-	}
-	if _, err := ArtifactByKey("figslo"); err != nil {
-		t.Errorf("figslo missing: %v", err)
-	}
-	if _, err := ArtifactByKey("figtimeline"); err != nil {
-		t.Errorf("figtimeline missing: %v", err)
-	}
-	if _, err := ArtifactByKey("figspans"); err != nil {
-		t.Errorf("figspans missing: %v", err)
-	}
-	if _, err := ArtifactByKey("fig4"); err != nil {
-		t.Errorf("fig4 missing: %v", err)
+	if a, _ := ArtifactByKey("fig13"); a.Name != "Figure 13" {
+		t.Errorf("fig13 is %q, want Figure 13", a.Name)
 	}
 	if _, err := ArtifactByKey("nope"); err == nil {
 		t.Error("unknown key accepted")
-	}
-	keys := map[string]bool{}
-	for _, a := range arts {
-		if keys[a.Key] {
-			t.Errorf("duplicate key %s", a.Key)
-		}
-		keys[a.Key] = true
 	}
 }

@@ -105,3 +105,34 @@ func TestWorkersClamp(t *testing.T) {
 		t.Errorf("DefaultWorkers() = %d", DefaultWorkers())
 	}
 }
+
+// TestTraceSingleflight: Figure 16, figtimeline, figspans and the trace
+// summaries all read the same 30-simulated-second runs; one Runner executes
+// the PC3D trace once and the ReQoS trace once for the lot. SystemNone is
+// rejected before anything runs.
+func TestTraceSingleflight(t *testing.T) {
+	sc := BenchScale()
+	sc.TraceSeconds = 10
+	r := NewRunner(sc)
+	if _, err := r.SummarizeTrace(SystemNone); err == nil {
+		t.Error("trace experiment accepted SystemNone")
+	}
+	if s, n := r.soloRuns.Load(), r.traceRuns.Load(); s != 0 || n != 0 || len(r.traces.m) != 0 {
+		t.Errorf("rejected system still ran %d solos, %d traces, %d memo cells", s, n, len(r.traces.m))
+	}
+	for name, f := range map[string]func() (*Table, error){
+		"Figure16": r.Figure16, "FigureTimeline": r.FigureTimeline, "FigureSpans": r.FigureSpans,
+	} {
+		if _, err := f(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for _, sys := range []System{SystemPC3D, SystemReQoS} {
+		if _, err := r.SummarizeTrace(sys); err != nil {
+			t.Fatalf("SummarizeTrace(%v): %v", sys, err)
+		}
+	}
+	if n := r.traceRuns.Load(); n != 2 {
+		t.Errorf("trace experiment executed %d times, want 2 (PC3D once, ReQoS once)", n)
+	}
+}
