@@ -1,6 +1,7 @@
 // Command pcrun loads a compiled .pcb binary and executes it on the
 // simulated machine, reporting progress counters — the "run it" half of the
-// pcc → pcrun toolchain.
+// pcc → pcrun toolchain. A binary that fails isa.VerifyProgram is rejected
+// (exit 1) before anything runs.
 //
 // Usage:
 //
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/progbin"
 	"repro/internal/sampling"
@@ -70,6 +72,9 @@ func main() {
 	}
 	bin, err := progbin.Read(f)
 	f.Close()
+	if err == nil {
+		err = isa.VerifyProgram(bin.Program)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pcrun: %v\n", err)
 		os.Exit(1)
@@ -126,7 +131,7 @@ func main() {
 	fmt.Printf("  work units:    %12d\n", c.Completions)
 	s := m.Hierarchy().CoreStats(0)
 	fmt.Printf("  LLC accesses:  %12d  (miss rate %.1f%%)\n", s.LLCAccesses,
-		100*float64(s.LLCMisses)/float64(max64(s.LLCAccesses, 1)))
+		100*float64(s.LLCMisses)/float64(max(s.LLCAccesses, 1)))
 	if rt != nil {
 		fmt.Printf("  recompiles:    %12d  (runtime used %.2f%% of server cycles, %d code-cache words)\n",
 			rt.Compiles(), rt.ServerCycleFraction()*100, rt.CodeCacheWords())
@@ -162,11 +167,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,8 @@ package isa
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/ir"
 )
 
 // ErrBadProgram is wrapped by all program-verification failures.
@@ -22,7 +24,7 @@ func progErr(format string, args ...any) error {
 //   - every EVT slot references a defined function and its entry,
 //   - register indices stay below the enclosing function's MaxReg,
 //   - memory sites are within [0, NumSites) and address generators have
-//     sane geometry,
+//     sane geometry (a hot set is non-empty and inside its region),
 //   - data regions do not overlap and fit the declared address space.
 func VerifyProgram(p *Program) error {
 	if len(p.Code) == 0 {
@@ -115,6 +117,9 @@ func VerifyFragment(p *Program, vr *VariantResult) error {
 		if int(in.Dst) >= vr.Info.MaxReg && writesReg(in.Op) {
 			return progErr("fragment pc %d: register r%d >= MaxReg %d", lo+i, in.Dst, vr.Info.MaxReg)
 		}
+		if readsX(in.Op) && int(in.X) >= vr.Info.MaxReg {
+			return progErr("fragment pc %d: register r%d >= MaxReg %d", lo+i, in.X, vr.Info.MaxReg)
+		}
 	}
 	return nil
 }
@@ -149,6 +154,9 @@ func verifyRange(p *Program, f FuncInfo) error {
 		if readsYReg(in) && int(in.YReg) >= f.MaxReg {
 			return progErr("%s pc %d: register r%d >= MaxReg %d", f.Name, pc, in.YReg, f.MaxReg)
 		}
+		if readsX(in.Op) && int(in.X) >= f.MaxReg {
+			return progErr("%s pc %d: register r%d >= MaxReg %d", f.Name, pc, in.X, f.MaxReg)
+		}
 	}
 	return nil
 }
@@ -158,12 +166,15 @@ func verifyGen(g AddrGen, pc int) error {
 		return progErr("pc %d: address generator with zero region size", pc)
 	}
 	switch g.Pattern {
-	case 0, 1, 2, 3, 4: // ir.Seq..ir.Pin
+	case ir.Seq, ir.Rand, ir.Chase, ir.Hot, ir.Pin:
 	default:
 		return progErr("pc %d: unknown address pattern %d", pc, g.Pattern)
 	}
-	if g.Pattern == 0 && g.Stride == 0 {
+	if g.Pattern == ir.Seq && g.Stride == 0 {
 		return progErr("pc %d: sequential generator with zero stride", pc)
+	}
+	if g.Pattern == ir.Hot && (g.HotBytes == 0 || g.HotBytes > g.Size) {
+		return progErr("pc %d: hot set of %d bytes outside (0,%d]", pc, g.HotBytes, g.Size)
 	}
 	return nil
 }
@@ -175,6 +186,8 @@ func writesReg(op Op) bool {
 	}
 	return false
 }
+
+func readsX(op Op) bool { return op == OpALU || op == OpBr }
 
 func readsYReg(in *Inst) bool {
 	return in.YIsReg && (in.Op == OpALU || in.Op == OpBr || in.Op == OpStore)

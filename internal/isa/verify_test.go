@@ -78,6 +78,24 @@ func TestVerifyProgramCatchesCorruption(t *testing.T) {
 			}
 			t.Fatal("no const found")
 		}},
+		{"ALU operand beyond frame", func(p *Program) {
+			for pc := range p.Code {
+				if p.Code[pc].Op == OpALU {
+					p.Code[pc].X = 60000
+					return
+				}
+			}
+			t.Fatal("no ALU found")
+		}},
+		{"empty hot set", func(p *Program) {
+			for pc := range p.Code {
+				if p.Code[pc].Op == OpLoad {
+					p.Code[pc].Gen.Pattern, p.Code[pc].Gen.HotBytes = ir.Hot, 0
+					return
+				}
+			}
+			t.Fatal("no load found")
+		}},
 		{"zero-size generator", func(p *Program) {
 			for pc := range p.Code {
 				if p.Code[pc].Op == OpLoad {
@@ -139,5 +157,4 @@ func TestVerifyProgramEmpty(t *testing.T) {
 	if err := VerifyProgram(&Program{}); err == nil {
 		t.Fatal("empty program verified")
 	}
-	_ = ir.Seq // keep the import for pattern constants used implicitly
 }

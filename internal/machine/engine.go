@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Engine is one execution strategy for an attached process. The machine
 // constructs an engine per process (engines may hold per-process decoded
@@ -21,7 +17,7 @@ import (
 // (and, by the paper's contract, even during) quanta, and a redirect must
 // take effect at the very next virtualized call.
 type Engine interface {
-	// Name identifies the engine (one of EngineNames).
+	// Name identifies the engine (EngineInterp or EngineSuperblock).
 	Name() string
 	// RunUntil advances the process's local cycle clock to the global
 	// quantum boundary, executing instructions, naps, forced sleeps,
@@ -44,9 +40,10 @@ const (
 	// EngineSuperblock is the fast engine: it decodes the instruction
 	// stream once into dense pre-resolved ops, fuses straight-line runs
 	// into superblocks with precomputed instruction/branch/memory counts
-	// and aggregate issue cycles, replays each superblock's cache accesses
-	// through the hierarchy in one batched walk, and fast-forwards whole
-	// nap/sleep/idle/stolen spans in O(1).
+	// and aggregate issue cycles, and replays each superblock's cache
+	// accesses through the hierarchy in one batched walk. Whole
+	// nap/sleep/idle/stolen spans cost it one step of the oracle's own
+	// scheduling arithmetic, and returns run the oracle's own code.
 	EngineSuperblock = "superblock"
 )
 
@@ -54,30 +51,14 @@ const (
 // is the default: the differential gates pin it bit-identical to interp.
 const DefaultEngine = EngineSuperblock
 
-// engineFactories maps engine names to per-process constructors.
-var engineFactories = map[string]func(p *Process) Engine{
-	EngineInterp:     func(p *Process) Engine { return &interpEngine{p: p} },
-	EngineSuperblock: func(p *Process) Engine { return newSuperblockEngine(p) },
-}
-
-// EngineNames lists the selectable engines, sorted.
-func EngineNames() []string {
-	names := make([]string, 0, len(engineFactories))
-	for n := range engineFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// newEngine instantiates the named engine for p ("" = DefaultEngine).
+// newEngine instantiates the named engine for p (Config.withDefaults has
+// already replaced "" by DefaultEngine).
 func newEngine(name string, p *Process) (Engine, error) {
-	if name == "" {
-		name = DefaultEngine
+	switch name {
+	case EngineInterp:
+		return &interpEngine{p: p}, nil
+	case EngineSuperblock:
+		return newSuperblockEngine(p), nil
 	}
-	f, ok := engineFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("machine: unknown engine %q (have %s)", name, strings.Join(EngineNames(), ", "))
-	}
-	return f(p), nil
+	return nil, fmt.Errorf("machine: unknown engine %q (have %s, %s)", name, EngineInterp, EngineSuperblock)
 }

@@ -51,10 +51,10 @@ type Config struct {
 	// Seed perturbs per-process address-stream randomness.
 	Seed int64
 	// Engine selects the execution engine for every attached process:
-	// EngineSuperblock (the default — decoded superblocks, batched cache
-	// walks, O(1) idle fast-forwarding) or EngineInterp (the
-	// one-instruction-at-a-time semantics oracle). Both are bit-identical;
-	// Attach rejects unknown names.
+	// EngineSuperblock (the default — decoded superblocks and batched
+	// cache walks) or EngineInterp (the one-instruction-at-a-time
+	// semantics oracle). Both are bit-identical; Attach rejects unknown
+	// names.
 	Engine string
 	// Telemetry receives machine-level instrumentation (quanta counter,
 	// nap-state transition events under the "machine" subsystem). Nil

@@ -377,8 +377,54 @@ func (p *Process) InstallVariant(vr *isa.VariantResult) error {
 	return nil
 }
 
-// step executes one instruction.
-func (p *Process) step(hier hierAccessor) {
+// schedule settles whatever keeps the process from executing at its clock
+// and reports whether it may execute now. In priority order: a halted
+// process idles to the boundary; a forced sleep (the flux probe stops even
+// napping processes fully), stolen cycles (a same-core runtime compiler)
+// and a gated server with no pending requests each consume their span; a
+// napping process sleeps the first napIntensity fraction of each nap
+// window. Each such step advances the clock and returns idle. Otherwise
+// limit is where the executing span ends: the quantum boundary until, or,
+// while napping, the current window's edge, past which the next window's
+// nap begins. Inside one span only a halt or a completion (which may drain
+// a gated budget) changes what schedule decides.
+func (p *Process) schedule(until uint64) (limit uint64, idle bool) {
+	now := p.ctr.Cycles
+	switch {
+	case p.halted:
+		p.ctr.Cycles = until
+	case p.sleepUntil > now:
+		end := min(p.sleepUntil, until)
+		p.ctr.SleepCycles += end - now
+		p.ctr.Cycles = end
+	case p.stealPending > 0:
+		take := min(p.stealPending, until-now)
+		p.stealPending -= take
+		p.ctr.StolenCycles += take
+		p.ctr.Cycles += take
+	case p.opts.Gated && p.workBudget == 0:
+		p.ctr.IdleCycles += until - now
+		p.ctr.Cycles = until
+	case p.napIntensity > 0:
+		window := p.m.napWindow
+		wStart := now / window * window
+		napEnd := wStart + uint64(p.napIntensity*float64(window))
+		if now >= napEnd {
+			return min(until, wStart+window), false
+		}
+		end := min(napEnd, until)
+		p.ctr.NapCycles += end - now
+		p.ctr.Cycles = end
+	default:
+		return until, false
+	}
+	return 0, true
+}
+
+// step executes one instruction. It returns false after a halt or a
+// completion, the only outcomes that change what schedule decides.
+func (p *Process) step() bool {
+	hier := p.m.hier
 	in := &p.code[p.pc]
 	if p.trace != nil {
 		p.trace[p.tracePos] = TraceEntry{Cycle: p.ctr.Cycles, PC: p.pc}
@@ -472,30 +518,42 @@ func (p *Process) step(hier hierAccessor) {
 	case isa.OpRet:
 		p.ctr.Cycles += costRet
 		p.ctr.Branches++
-		if len(p.frames) == 0 {
-			p.ctr.Completions++
-			if p.opts.Gated {
-				if p.workBudget > 0 {
-					p.workBudget--
-				}
-				p.reset()
-			} else if p.opts.Restart {
-				p.reset()
-			} else {
-				p.halted = true
-			}
-			return
-		}
-		f := p.frames[len(p.frames)-1]
-		p.frames = p.frames[:len(p.frames)-1]
-		p.regPool = append(p.regPool, p.regs)
-		p.regs = f.regs
-		p.transfer(f.retPC, true)
+		return !p.ret()
 	case isa.OpHalt:
 		p.halted = true
+		return false
 	default:
 		panic(fmt.Sprintf("machine: unknown opcode %d at pc %d", in.Op, p.pc))
 	}
+	return true
+}
+
+// ret returns from the current function to its caller. When the entry
+// function returns it instead completes one unit of work: a gated server
+// spends a request and re-enters, a restartable job re-enters, anything else
+// halts (the PC stays on the return). It reports whether it completed.
+func (p *Process) ret() (completed bool) {
+	if len(p.frames) == 0 {
+		p.ctr.Completions++
+		switch {
+		case p.opts.Gated:
+			if p.workBudget > 0 {
+				p.workBudget--
+			}
+			p.reset()
+		case p.opts.Restart:
+			p.reset()
+		default:
+			p.halted = true
+		}
+		return true
+	}
+	f := p.frames[len(p.frames)-1]
+	p.frames = p.frames[:len(p.frames)-1]
+	p.regPool = append(p.regPool, p.regs)
+	p.regs = f.regs
+	p.transfer(f.retPC, true)
+	return false
 }
 
 // pairedWithNextLoad reports whether the prefetch at p.pc shares a site
@@ -531,14 +589,6 @@ func (p *Process) transfer(target int, indirect bool) {
 		p.ctr.DBTCycles += extra
 	}
 	p.pc = target
-}
-
-// hierAccessor is the slice of the cache hierarchy the interpreter needs;
-// taking it as an interface keeps step testable in isolation.
-type hierAccessor interface {
-	Load(core int, addr uint64, nt bool) int
-	Store(core int, addr uint64, nt bool) int
-	Prefetch(core int, addr uint64, nt bool)
 }
 
 func alu(op ir.BinKind, x, y int64) int64 {
@@ -647,14 +697,11 @@ func (p *Process) address(g *isa.AddrGen) uint64 {
 // addressPeek returns the address lead bytes ahead of the site's stream
 // position without mutating cursor state. Only sequential streams have a
 // meaningful "ahead"; other patterns peek at cursor+lead too, which is
-// harmless (the prefetch warms a plausible region address).
+// harmless (the prefetch warms a plausible region address). The peek wraps
+// modulo the region size, so any lead — even a negative one from a corrupt
+// binary — costs one division.
 func (p *Process) addressPeek(g *isa.AddrGen, lead uint64) uint64 {
-	st := p.sites[g.Site]
-	off := st.cursor + lead
-	for off >= g.Size {
-		off -= g.Size
-	}
-	return p.base + g.Base + off
+	return p.base + g.Base + (p.sites[g.Site].cursor+lead)%g.Size
 }
 
 func splitmix64(x uint64) uint64 {
@@ -662,11 +709,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

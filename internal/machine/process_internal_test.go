@@ -196,6 +196,23 @@ func TestPinPattern(t *testing.T) {
 	}
 }
 
+// TestAddressPeekWraps: a lead is taken modulo the region, whatever its
+// size, so a negative one (which only a corrupt binary carries) cannot spin.
+func TestAddressPeekWraps(t *testing.T) {
+	p := addrProc(t)
+	p.sites = make([]siteState, 1)
+	g := isa.AddrGen{Base: 0x1000, Size: 1 << 16, Pattern: ir.Seq, Stride: 64, Site: 0}
+	for _, tc := range []struct{ lead, want uint64 }{
+		{128, 128},
+		{1<<16 + 8, 8},
+		{^uint64(7), 1<<16 - 8}, // a Lead of -8
+	} {
+		if got := p.addressPeek(&g, tc.lead) - p.base - g.Base; got != tc.want {
+			t.Errorf("peek %#x ahead of cursor 0 = offset %d, want %d", tc.lead, got, tc.want)
+		}
+	}
+}
+
 func TestProcessAccessors(t *testing.T) {
 	bin := compile(t, streamModule(t, "acc", 1<<16), true)
 	m := New(Config{Cores: 2})

@@ -32,13 +32,15 @@ import (
 //     (cache.Hierarchy.Replay) instead of interleaving a virtual-dispatch
 //     hierarchy call into every instruction step.
 //
-// Bit-identity with the interp oracle is preserved by construction: a
-// superblock executes fused only when its precomputed worst-case cost fits
-// the remaining budget to the quantum boundary (and, while napping, to the
-// next nap-window edge, which the oracle re-checks before every
-// instruction). Otherwise the engine falls back to the oracle's
-// single-step path until the boundary passes. Whole nap / sleep / idle /
-// stolen spans are fast-forwarded in O(1) arithmetic instead of looping.
+// Everything else is the oracle's own code. Process.schedule settles the
+// non-executing states (a whole nap / sleep / idle / stolen span is one
+// call) and bounds the executing span; Process.step runs single
+// instructions and Process.ret every return. Bit-identity is preserved by
+// construction: a superblock executes fused only when its precomputed
+// worst-case cost fits the remaining budget to the span's limit (the
+// quantum boundary or, while napping, the nap-window edge the oracle
+// re-checks before every instruction). Otherwise the engine single-steps
+// until the limit passes.
 //
 // Invalidation rules:
 //
@@ -128,7 +130,6 @@ type sbEngine struct {
 	oracle interpEngine
 	ops    []sbOp
 	runs   []sbRun
-	gptr   []*isa.AddrGen // generic generator pointers, indexed by PC
 	accs   []cache.Access // reusable batch buffer (mixed-kind runs)
 	addrs  []uint64       // reusable batch buffer (plain-load runs)
 	// maxStall is the worst per-load stall (slowest hierarchy level / loadMLP).
@@ -159,10 +160,6 @@ func (e *sbEngine) decode() {
 	n := len(code)
 	e.ops = make([]sbOp, n)
 	e.runs = make([]sbRun, n)
-	// gptr holds pointers into the current code image; decode re-runs after
-	// every InstallVariant, so a grown (reallocated) image never leaves
-	// stale pointers behind.
-	e.gptr = make([]*isa.AddrGen, n)
 	var dbtWorst uint32
 	if p.dbtSeen != nil {
 		c := p.opts.DBT
@@ -193,7 +190,6 @@ func (e *sbEngine) decode() {
 			cost = costConst
 		case isa.OpLoad:
 			op.kind, op.dst, op.nt = sbLoad, in.Dst, in.NT
-			e.gptr[i] = &in.Gen
 			if in.Gen.Pattern == ir.Seq {
 				// The dominant pattern gets its cursor advance inlined in
 				// the exec loop instead of a call into address(), reading
@@ -208,7 +204,6 @@ func (e *sbEngine) decode() {
 			worstExtra = uint32(e.maxStall)
 		case isa.OpStore:
 			op.kind, op.nt = sbStore, in.NT
-			e.gptr[i] = &in.Gen
 			cost, stores = costStore, 1
 		case isa.OpPrefetch:
 			// Mirrors the oracle's case order: lead prefetches first, then
@@ -223,7 +218,6 @@ func (e *sbEngine) decode() {
 				op.kind = sbPrefetch
 			}
 			op.nt = in.NT
-			e.gptr[i] = &in.Gen
 			cost, prefetches = costPrefetch, 1
 		case isa.OpBr:
 			op.kind, op.x, op.bin, op.target = sbBr, in.X, uint8(in.Cmp), int32(in.Target)
@@ -294,9 +288,9 @@ func (e *sbEngine) decode() {
 	}
 }
 
-// RunUntil advances the process to the quantum boundary: O(1) span
-// fast-forwards for non-executing states, fused superblocks while the
-// worst-case budget holds, oracle single-steps across the boundary zone.
+// RunUntil advances the process to the quantum boundary, one scheduling
+// span at a time: schedule settles a non-executing span or bounds an
+// executing one, and exec runs it.
 func (e *sbEngine) RunUntil(until uint64) {
 	p := e.p
 	if p.trace != nil {
@@ -305,64 +299,33 @@ func (e *sbEngine) RunUntil(until uint64) {
 		e.oracle.RunUntil(until)
 		return
 	}
-	napWindow := p.m.napWindow
 	for p.ctr.Cycles < until {
-		if p.halted {
-			p.ctr.Cycles = until
-			return
+		if limit, idle := p.schedule(until); !idle {
+			e.exec(limit)
 		}
-		// Forced sleep (flux probe): one arithmetic step per span.
-		if p.sleepUntil > p.ctr.Cycles {
-			end := min64(p.sleepUntil, until)
-			p.ctr.SleepCycles += end - p.ctr.Cycles
-			p.ctr.Cycles = end
-			continue
-		}
-		// Stolen cycles (same-core runtime compiler): one step per span.
-		if p.stealPending > 0 {
-			take := min64(p.stealPending, until-p.ctr.Cycles)
-			p.stealPending -= take
-			p.ctr.StolenCycles += take
-			p.ctr.Cycles += take
-			continue
-		}
-		// Gated server with an empty budget: idle to the boundary.
-		if p.opts.Gated && p.workBudget == 0 {
-			p.ctr.IdleCycles += until - p.ctr.Cycles
-			p.ctr.Cycles = until
-			continue
-		}
-		limit := until
-		if p.napIntensity > 0 {
-			if p.napIntensity >= 1 {
-				// Fully napped: the entire remaining span is nap. One step
-				// instead of one iteration per nap window.
-				p.ctr.NapCycles += until - p.ctr.Cycles
-				p.ctr.Cycles = until
-				continue
-			}
-			wStart := p.ctr.Cycles / napWindow * napWindow
-			napEnd := wStart + uint64(p.napIntensity*float64(napWindow))
-			if p.ctr.Cycles < napEnd {
-				end := min64(napEnd, until)
-				p.ctr.NapCycles += end - p.ctr.Cycles
-				p.ctr.Cycles = end
-				continue
-			}
-			// The oracle re-checks the duty cycle before every instruction,
-			// so a fused run must not cross into the next window's nap
-			// region: cap the fused budget at the window edge and
-			// single-step across it.
-			limit = min64(until, wStart+napWindow)
-		}
+	}
+}
+
+// exec runs one executing span: fused chains while a block's worst case
+// fits before limit, oracle single steps across the boundary zone. It
+// returns at limit, or early after a halt or a completion — inside one span
+// the only events that change what schedule decides (agents run only
+// between quanta, and limit already stops at the nap-window edge).
+func (e *sbEngine) exec(limit uint64) {
+	p := e.p
+	for p.ctr.Cycles < limit {
 		pc := p.pc
 		if uint(pc) < uint(len(e.runs)) {
 			if r := &e.runs[pc]; r.term >= 0 && p.ctr.Cycles+uint64(r.worst) <= limit {
-				e.runChain(pc, r, limit)
+				if !e.runChain(pc, r, limit) {
+					return
+				}
 				continue
 			}
 		}
-		p.step(p.m.hier)
+		if !p.step() {
+			return
+		}
 	}
 }
 
@@ -377,15 +340,14 @@ func (e *sbEngine) RunUntil(until uint64) {
 // oracle's per-instruction boundary check allows, and the flushed total is
 // the same sum the per-block replay would have produced. Only a completion
 // or a halt can change the caller's scheduling state (halted flag, gated
-// work budget) — runTerm reports those — so transfers re-check nothing but
-// the budget.
-func (e *sbEngine) runChain(pc int, r *sbRun, limit uint64) {
+// work budget) — runTerm reports those, and so does runChain's result — so
+// transfers re-check nothing but the budget.
+func (e *sbEngine) runChain(pc int, r *sbRun, limit uint64) (cont bool) {
 	p := e.p
 	hier := p.m.hier
 	addrs := e.addrs[:0]
 	var pending uint64 // worst-case stall bound for queued, unreplayed loads
 	for {
-		var cont bool
 		if r.plain {
 			term := int(r.term)
 			addrs = e.plainBody(pc, term, addrs)
@@ -426,6 +388,7 @@ func (e *sbEngine) runChain(pc int, r *sbRun, limit uint64) {
 	if len(addrs) > 0 {
 		p.ctr.Cycles += hier.ReplayLoads(p.core, addrs, loadMLP)
 	}
+	return cont
 }
 
 // plainBody executes the straight-line body of a plain-load run: register
@@ -461,7 +424,7 @@ func (e *sbEngine) plainBody(pc, term int, addrs []uint64) []uint64 {
 			addrs = append(addrs, addr)
 			regs[op.dst] = int64(addr)
 		case sbLoad:
-			addr := p.address(e.gptr[pc+j])
+			addr := p.address(&p.code[pc+j].Gen)
 			addrs = append(addrs, addr)
 			regs[op.dst] = int64(addr)
 		}
@@ -504,15 +467,15 @@ func (e *sbEngine) runBlock(pc int, r *sbRun) bool {
 				accs = append(accs, cache.Access{Addr: addr, Kind: cache.AccessLoad, NT: op.nt})
 				regs[op.dst] = int64(addr)
 			case sbLoad:
-				addr := p.address(e.gptr[pc+j])
+				addr := p.address(&p.code[pc+j].Gen)
 				accs = append(accs, cache.Access{Addr: addr, Kind: cache.AccessLoad, NT: op.nt})
 				regs[op.dst] = int64(addr)
 			case sbStore:
-				accs = append(accs, cache.Access{Addr: p.address(e.gptr[pc+j]), Kind: cache.AccessStore, NT: op.nt})
+				accs = append(accs, cache.Access{Addr: p.address(&p.code[pc+j].Gen), Kind: cache.AccessStore, NT: op.nt})
 			case sbPrefetch:
-				accs = append(accs, cache.Access{Addr: p.address(e.gptr[pc+j]), Kind: cache.AccessPrefetch, NT: op.nt})
+				accs = append(accs, cache.Access{Addr: p.address(&p.code[pc+j].Gen), Kind: cache.AccessPrefetch, NT: op.nt})
 			case sbPrefetchLead:
-				accs = append(accs, cache.Access{Addr: p.addressPeek(e.gptr[pc+j], uint64(op.imm)), Kind: cache.AccessPrefetch, NT: op.nt})
+				accs = append(accs, cache.Access{Addr: p.addressPeek(&p.code[pc+j].Gen, uint64(op.imm)), Kind: cache.AccessPrefetch, NT: op.nt})
 			case sbPrefetchPaired:
 				// Issue cost only; already in the aggregate.
 			}
@@ -564,28 +527,9 @@ func (e *sbEngine) runTerm(term int) bool {
 		p.pushFrame(term + 1)
 		p.transfer(p.evt.Target(int(op.aux)), true)
 	case sbRet:
-		if len(p.frames) == 0 {
-			p.ctr.Completions++
-			switch {
-			case p.opts.Gated:
-				if p.workBudget > 0 {
-					p.workBudget--
-				}
-				p.reset()
-			case p.opts.Restart:
-				p.reset()
-			default:
-				p.halted = true
-			}
-			// A completion may have halted the process or drained the
-			// gated budget: the caller must re-run its scheduling checks.
-			return false
-		}
-		f := p.frames[len(p.frames)-1]
-		p.frames = p.frames[:len(p.frames)-1]
-		p.regPool = append(p.regPool, p.regs)
-		p.regs = f.regs
-		p.transfer(f.retPC, true)
+		// A completion may have halted the process or drained the gated
+		// budget: the caller must re-run its scheduling checks.
+		return !p.ret()
 	case sbHalt:
 		p.halted = true
 		return false
