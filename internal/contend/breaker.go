@@ -80,9 +80,6 @@ func (b *Breaker) State() BreakerState { return b.state }
 // Trips counts how many times the breaker has tripped open.
 func (b *Breaker) Trips() int { return b.trips }
 
-// ConsecutiveFailures is the current closed-state failure run length.
-func (b *Breaker) ConsecutiveFailures() int { return b.consecFail }
-
 // Cooldown is how many more epochs the breaker stays open (0 unless open).
 func (b *Breaker) Cooldown() int { return b.cooldown }
 

@@ -66,7 +66,9 @@ type Config struct {
 	CompileFault func(fn string, job uint64) error
 	// Telemetry receives the runtime's counters (compiles, failures,
 	// dispatches, reverts, cycles) and compile/dispatch trace events under
-	// the "core" subsystem. Nil disables instrumentation at no cost.
+	// the "core" subsystem. Nil exports nothing; the cycle counters still
+	// back CyclesUsed. A registry shared between runtimes (a fleet server's
+	// successive sessions) holds their cumulative counts.
 	Telemetry *telemetry.Registry
 }
 
@@ -135,11 +137,8 @@ type Runtime struct {
 	dispatched map[string]*Variant
 	nextID     int
 
-	compileCycles uint64 // total compiler cycles consumed
-	monitorCycles uint64 // total monitoring cycles consumed
-	compiles      uint64
-	dispatches    uint64
-	lastSample    uint64
+	compiles   uint64 // compile requests, queued or completed
+	lastSample uint64
 
 	tel             *telemetry.Registry
 	cCompiles       *telemetry.Counter
@@ -216,7 +215,6 @@ func (rt *Runtime) Tick(m *machine.Machine) {
 	rt.sampler.Tick(m)
 	now := m.Now()
 	if now-rt.lastSample >= rt.sampleInterval {
-		rt.monitorCycles += monitorCyclesPerSample
 		rt.cMonitorCycles.Add(monitorCyclesPerSample)
 		rt.lastSample = now
 	}
@@ -264,7 +262,6 @@ func (rt *Runtime) RequestVariant(fn string, transform Transform, meta any, onDo
 	}
 	finish := start + rt.compileCost
 	rt.busyUntil = finish
-	rt.compileCycles += rt.compileCost
 	rt.cCompileCycles.Add(rt.compileCost)
 	rt.compiles++
 	if rt.cfg.RuntimeCore == SameCore {
@@ -328,7 +325,6 @@ func (rt *Runtime) Dispatch(v *Variant) error {
 	}
 	rt.host.EVT().SetTarget(slot, v.EntryPC)
 	rt.dispatched[v.Func] = v
-	rt.dispatches++
 	rt.cDispatches.Inc()
 	rt.tel.Emit(telemetry.Event{At: rt.m.Now(), Kind: telemetry.EvDispatch, Func: v.Func, Value: float64(v.ID)})
 	return nil
@@ -349,7 +345,6 @@ func (rt *Runtime) Revert(fn string) error {
 	}
 	rt.host.EVT().SetTarget(slot, fi.Entry)
 	delete(rt.dispatched, fn)
-	rt.dispatches++
 	rt.cReverts.Inc()
 	rt.tel.Emit(telemetry.Event{At: rt.m.Now(), Kind: telemetry.EvRevert, Func: fn})
 	return nil
@@ -402,9 +397,6 @@ func (rt *Runtime) Variants(fn string) []*Variant { return rt.variants[fn] }
 // Compiles counts completed-or-queued compile requests.
 func (rt *Runtime) Compiles() uint64 { return rt.compiles }
 
-// Dispatches counts EVT rewrites.
-func (rt *Runtime) Dispatches() uint64 { return rt.dispatches }
-
 // CodeCacheWords returns how many instruction words of runtime-generated
 // variants have been installed into the host's code cache.
 func (rt *Runtime) CodeCacheWords() int {
@@ -412,8 +404,11 @@ func (rt *Runtime) CodeCacheWords() int {
 }
 
 // CyclesUsed returns the runtime's total consumed cycles (compiler plus
-// monitoring) — the numerator of Figure 7.
-func (rt *Runtime) CyclesUsed() uint64 { return rt.compileCycles + rt.monitorCycles }
+// monitoring) — the numerator of Figure 7 — read from its counters. On a
+// shared Config.Telemetry they are the registry's cumulative cycles.
+func (rt *Runtime) CyclesUsed() uint64 {
+	return rt.cCompileCycles.Value() + rt.cMonitorCycles.Value()
+}
 
 // ServerCycleFraction returns CyclesUsed over all server cycles so far
 // (cores × elapsed) — Figure 7's metric.

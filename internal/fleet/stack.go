@@ -28,7 +28,7 @@ type StackConfig struct {
 	Target     float64
 	MaxSites   int
 	// Telemetry receives the runtime's, policy's and supervisor's
-	// instruments (nil disables them).
+	// instruments (nil exports none of them).
 	Telemetry *telemetry.Registry
 	// Add registers each agent the stack creates (nil = Machine.AddAgent).
 	// The fleet passes serverSim.gate, so a migration switches the whole

@@ -158,48 +158,6 @@ func TestLoopSharedHeaderMerges(t *testing.T) {
 	}
 }
 
-func TestCallGraph(t *testing.T) {
-	mb := NewModuleBuilder("cg")
-	mb.Global("g", 64)
-	fa := mb.Function("a")
-	fa.Call("b")
-	fa.Call("c")
-	fa.Return()
-	fbd := mb.Function("b")
-	fbd.Call("c")
-	fbd.Return()
-	fc := mb.Function("c")
-	fc.Return()
-	fd := mb.Function("d")
-	fd.Call("d")
-	fd.Return()
-	mb.SetEntry("a")
-	m, err := mb.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	cg := BuildCallGraph(m)
-	if len(cg.Edges) != 4 {
-		t.Fatalf("edges = %d, want 4", len(cg.Edges))
-	}
-	if got := cg.Callees["a"]; len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Errorf("Callees[a] = %v", got)
-	}
-	if got := cg.Callers["c"]; len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Callers[c] = %v", got)
-	}
-	reach := cg.ReachableFrom("a")
-	if !reach["a"] || !reach["b"] || !reach["c"] {
-		t.Errorf("ReachableFrom(a) = %v", reach)
-	}
-	if reach["d"] {
-		t.Error("d should be unreachable from a")
-	}
-	if !cg.ReachableFrom("d")["d"] {
-		t.Error("d reaches itself")
-	}
-}
-
 // randomCFG builds a random function with n blocks where every block is
 // given a terminator targeting random blocks. Used for property tests.
 func randomCFG(rng *rand.Rand, n int) *Function {

@@ -177,18 +177,3 @@ func (fb *FunctionBuilder) Loop(trip int64, body func()) {
 
 	fb.SetBlock(exit)
 }
-
-// InfiniteLoop builds a loop with no exit; the machine's run-duration limit
-// terminates execution. Used for server-style workloads that run until the
-// experiment ends.
-func (fb *FunctionBuilder) InfiniteLoop(body func()) {
-	header := fb.Block("")
-	fb.Jump(header)
-	fb.SetBlock(header)
-	body()
-	fb.Jump(header)
-	// Unreachable exit block so the function still verifies if the caller
-	// appends a terminator-requiring return afterwards.
-	exit := fb.Block("")
-	fb.SetBlock(exit)
-}

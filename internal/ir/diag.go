@@ -115,18 +115,6 @@ func (ds Diags) count(sev Severity) int {
 	return n
 }
 
-// MinSeverity returns the findings at or above the given severity, in the
-// original order.
-func (ds Diags) MinSeverity(sev Severity) Diags {
-	var out Diags
-	for _, d := range ds {
-		if d.Sev >= sev {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // FirstError returns the first error-severity finding, or a zero Diag and
 // false if there is none.
 func (ds Diags) FirstError() (Diag, bool) {

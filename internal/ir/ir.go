@@ -17,10 +17,7 @@
 // the paper's transformations manipulate.
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Reg names a virtual register local to a function. Registers hold signed
 // 64-bit integers. Register 0 is valid and carries no special meaning.
@@ -498,14 +495,4 @@ func (m *Module) LoadSites() []LoadSite {
 		}
 	}
 	return out
-}
-
-// SortedFuncNames returns function names in lexical order (stable reporting).
-func (m *Module) SortedFuncNames() []string {
-	names := make([]string, len(m.Funcs))
-	for i, f := range m.Funcs {
-		names[i] = f.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -51,11 +51,11 @@ type Config struct {
 	// greedy pass never terminates early on a collapsed bracket. Ablation
 	// only; the paper's search always reuses bounds.
 	NoBoundsReuse bool
-	// Trace, when non-nil, receives search-decision log lines.
-	Trace func(format string, args ...any)
 	// Telemetry receives the controller's counters (searches, probes,
 	// dropouts, violations) and QoS/dropout trace events under the "pc3d"
-	// subsystem. Nil disables instrumentation at no cost.
+	// subsystem. Nil exports nothing; the counters still back Stats. A
+	// registry shared between controllers (a fleet server's successive
+	// sessions) holds their cumulative counts.
 	Telemetry *telemetry.Registry
 }
 
@@ -133,7 +133,6 @@ type Controller struct {
 	cache map[string]*core.Variant
 
 	hostMeter  *sampling.Meter
-	stats      Stats
 	searched   bool    // a search ran in the current co-phase
 	napFloor   float64 // the search's converged nap; steady relax stops here
 	violations int     // consecutive sub-target steady readings
@@ -188,29 +187,28 @@ func (c *Controller) Tick(m *machine.Machine) { c.loop.Tick(m) }
 // Close stops the controller's policy goroutine.
 func (c *Controller) Close() { c.loop.Close() }
 
-// Stats returns a snapshot of controller activity.
+// Stats returns a snapshot of controller activity: the counters plus live
+// state. On a shared Config.Telemetry the counts are the registry's, not
+// this controller's alone.
 func (c *Controller) Stats() Stats {
-	s := c.stats
-	s.Compiles = int(c.rt.Compiles())
-	s.BestMaskSize = len(c.maskSet())
-	s.CurrentNap = c.host.NapIntensity()
-	return s
+	return Stats{
+		Searches:        int(c.cSearches.Value()),
+		VariantEvals:    int(c.cEvals.Value()),
+		NapProbes:       int(c.cProbes.Value()),
+		Compiles:        int(c.rt.Compiles()),
+		PhaseChanges:    int(c.cPhases.Value()),
+		SearchAborts:    int(c.cAborts.Value()),
+		BestMaskSize:    len(maskIDs(c.mask)),
+		CurrentNap:      c.host.NapIntensity(),
+		CompileFailures: int(c.cFails.Value()),
+		CompileRetries:  int(c.cRetries.Value()),
+		SensorDropouts:  int(c.cDropouts.Value()),
+	}
 }
 
 // Space returns the search space of the current phase (valid after the
 // first search).
 func (c *Controller) Space() SearchSpace { return c.space }
-
-func (c *Controller) maskSet() []int {
-	var ids []int
-	for id, on := range c.mask {
-		if on {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 // wait parks the policy for at least ms milliseconds of simulated time.
 // Closing the controller unwinds the policy from here (agentloop.Loop.Wait),
@@ -234,7 +232,6 @@ func (c *Controller) policy(l *agentloop.Loop) {
 			// The extra settle lets the co-runner's cache state and the
 			// flux windows flush the boundary transient before the next
 			// reading is trusted.
-			c.stats.PhaseChanges++
 			c.cPhases.Inc()
 			c.searched = false
 			c.violations = 0
@@ -246,7 +243,6 @@ func (c *Controller) policy(l *agentloop.Loop) {
 		if ok && (math.IsNaN(q) || math.IsInf(q, 0)) {
 			// Corrupted sensor reading claimed as valid: treat it like a
 			// dropout rather than propagating NaN into nap arithmetic.
-			c.stats.SensorDropouts++
 			c.cDropouts.Inc()
 			c.tel.Emit(telemetry.Event{At: c.m.Now(), Kind: telemetry.EvSensorDropout})
 			ok = false
@@ -323,7 +319,6 @@ func (c *Controller) observePhases() bool {
 // phases are not comparable, so the controller reverts to original code
 // and lets the monitoring loop re-decide in the new phase.
 func (c *Controller) runSearch() {
-	c.stats.Searches++
 	c.cSearches.Inc()
 	c.searched = true
 
@@ -343,12 +338,9 @@ func (c *Controller) runSearch() {
 		if !c.observePhases() {
 			return false
 		}
-		c.stats.PhaseChanges++
 		c.cPhases.Inc()
-		c.stats.SearchAborts++
 		c.cAborts.Inc()
 		c.tel.SpanAttrs(sp, telemetry.Str("status", "aborted"))
-		c.trace("search aborted: co-phase changed")
 		c.searched = false
 		c.violations = 0
 		c.setMaskOriginal()
@@ -386,7 +378,6 @@ func (c *Controller) runSearch() {
 	if aborted() {
 		return
 	}
-	c.trace("search: %d sites, nap0=%.3f r0=%.0f nap1=%.3f r1=%.0f", len(sites), nap0, r0, nap1, r1)
 	napUB, napLB := nap0, nap1
 	cur := cloneMask(mask1)
 	best := cloneMask(mask1)
@@ -416,17 +407,14 @@ func (c *Controller) runSearch() {
 			return
 		}
 		if bestR < rM {
-			c.trace("  flip %d: ACCEPT nap=%.3f bps=%.0f (best was %.0f)", id, napM, rM, bestR)
 			bestR, bestNap = rM, napM
 			best = cloneMask(cur)
 			napUB = napM
 		} else {
-			c.trace("  flip %d: reject nap=%.3f bps=%.0f (best %.0f)", id, napM, rM, bestR)
 			cur[id] = true // reject the revocation
 		}
 	}
 
-	c.trace("search done: mask=%d nap=%.3f bps=%.0f", len(maskIDs(best)), bestNap, bestR)
 	// Dispatch the winner and settle at its nap intensity.
 	c.applyMask(best)
 	c.tel.SpanAttrs(sp, telemetry.Num("best_mask", float64(len(maskIDs(best)))), telemetry.Num("best_nap", bestNap))
@@ -439,7 +427,6 @@ func (c *Controller) runSearch() {
 // value satisfying the QoS target, returning that nap and the host's BPS
 // there.
 func (c *Controller) variantEvalMask(mask map[int]bool, napLB, napUB float64) (nap, bps float64) {
-	c.stats.VariantEvals++
 	c.cEvals.Inc()
 	// The eval span nests under the search span (ambient parent) and in
 	// turn becomes the ambient parent of the compiles applyMask triggers.
@@ -476,13 +463,11 @@ func (c *Controller) variantEvalMask(mask map[int]bool, napLB, napUB float64) (n
 			c.tel.EndSpan(wsp, m.Now())
 			q, qok := c.win.Score(m)
 			r := c.hostMeter.Read(m)
-			c.stats.NapProbes++
 			c.cProbes.Inc()
 			if qok && !math.IsNaN(q) && !math.IsInf(q, 0) {
 				c.tel.EndSpan(psp, m.Now())
 				return q, r.BPS
 			}
-			c.stats.SensorDropouts++
 			c.cDropouts.Inc()
 			c.tel.Emit(telemetry.Event{At: m.Now(), Kind: telemetry.EvSensorDropout})
 			if attempt >= 2 {
@@ -541,18 +526,13 @@ func (c *Controller) applyMask(mask map[int]bool) {
 		}
 		if !anySet {
 			if c.rt.Dispatched(fn) != nil {
-				if err := c.rt.Revert(fn); err != nil {
-					// ErrCrashed: the supervisor owns recovery; skip.
-					c.trace("revert %s: %v", fn, err)
-				}
+				_ = c.rt.Revert(fn) // ErrCrashed: the supervisor owns recovery
 			}
 			continue
 		}
 		if v := c.cache[key]; v != nil {
 			if c.rt.Dispatched(fn) != v {
-				if err := c.rt.Dispatch(v); err != nil {
-					c.trace("dispatch %s: %v", fn, err)
-				}
+				_ = c.rt.Dispatch(v) // ErrCrashed: the supervisor owns recovery
 			}
 			continue
 		}
@@ -569,14 +549,10 @@ func (c *Controller) applyMask(mask map[int]bool) {
 				break
 			}
 			if attempt >= compileRetries {
-				c.stats.CompileFailures++
 				c.cFails.Inc()
-				c.trace("compile %s: giving up after %d attempts: %v", fn, attempt+1, cerr)
 				break
 			}
-			c.stats.CompileRetries++
 			c.cRetries.Inc()
-			c.trace("compile %s failed (attempt %d): %v; retrying", fn, attempt+1, cerr)
 			c.wait(backoff)
 			backoff *= 2
 		}
@@ -584,9 +560,7 @@ func (c *Controller) applyMask(mask map[int]bool) {
 			continue
 		}
 		c.cache[key] = got
-		if err := c.rt.Dispatch(got); err != nil {
-			c.trace("dispatch %s: %v", fn, err)
-		}
+		_ = c.rt.Dispatch(got) // ErrCrashed: the supervisor owns recovery
 	}
 	c.mask = cloneMask(mask)
 }
@@ -620,22 +594,13 @@ func (c *Controller) funcSiteIDs(fn string) []int {
 }
 
 func (c *Controller) setMaskOriginal() {
-	if err := c.rt.RevertAll(); err != nil {
-		// A crashed runtime cannot touch the EVT; the supervisor owns
-		// recovery. Nothing useful to do here but note it.
-		c.trace("revert-all: %v", err)
-	}
+	// A crashed runtime cannot touch the EVT; the supervisor owns recovery.
+	_ = c.rt.RevertAll()
 	c.mask = make(map[int]bool)
 }
 
 func (c *Controller) setNap(f float64) {
 	c.host.SetNapIntensity(f)
-}
-
-func (c *Controller) trace(format string, args ...any) {
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(format, args...)
-	}
 }
 
 func maskIDs(m map[int]bool) []int {

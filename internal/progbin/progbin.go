@@ -103,7 +103,6 @@ func DecodeBytes(data []byte) (*Binary, error) {
 type LiveEVT struct {
 	names   []string
 	targets []atomic.Int64
-	writes  atomic.Uint64
 }
 
 // NewLiveEVT instantiates the table from the binary's EVT image.
@@ -129,10 +128,7 @@ func (e *LiveEVT) Callee(slot int) string { return e.names[slot] }
 func (e *LiveEVT) Target(slot int) int { return int(e.targets[slot].Load()) }
 
 // SetTarget atomically redirects slot to pc.
-func (e *LiveEVT) SetTarget(slot, pc int) {
-	e.targets[slot].Store(int64(pc))
-	e.writes.Add(1)
-}
+func (e *LiveEVT) SetTarget(slot, pc int) { e.targets[slot].Store(int64(pc)) }
 
 // SlotFor returns the slot index dispatching for callee, or -1.
 func (e *LiveEVT) SlotFor(callee string) int {
@@ -143,6 +139,3 @@ func (e *LiveEVT) SlotFor(callee string) int {
 	}
 	return -1
 }
-
-// Writes counts SetTarget calls, a cheap dispatch-activity telemetry signal.
-func (e *LiveEVT) Writes() uint64 { return e.writes.Load() }

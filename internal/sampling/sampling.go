@@ -78,10 +78,8 @@ type PCSampler struct {
 	interval uint64
 	next     uint64
 	window   Profile
-	lifetime Profile
 	deep     *DeepProfile
 	samples  uint64
-	flatOnly bool
 }
 
 // NewPCSampler samples proc every intervalCycles.
@@ -90,15 +88,9 @@ func NewPCSampler(proc *machine.Process, intervalCycles uint64) *PCSampler {
 		proc:     proc,
 		interval: intervalCycles,
 		window:   make(Profile),
-		lifetime: make(Profile),
 		deep:     NewDeepProfile(),
 	}
 }
-
-// SetFunctionGranularity restricts attribution to function granularity
-// (no block or load-site breakdown) — the pre-block baseline, kept so the
-// benchmark suite can pin the overhead of the deep path against it.
-func (s *PCSampler) SetFunctionGranularity(on bool) { s.flatOnly = on }
 
 // Tick takes due samples. With quantum-granularity ticks, one sample is
 // taken per elapsed interval.
@@ -109,22 +101,11 @@ func (s *PCSampler) Tick(m *machine.Machine) {
 	}
 	for s.next <= now {
 		s.next += s.interval
-		if s.flatOnly {
-			fn := s.proc.CurrentFunc()
-			if fn == "" {
-				continue
-			}
-			s.window[fn]++
-			s.lifetime[fn]++
-			s.samples++
-			continue
-		}
 		smp, ok := s.proc.CurrentSample()
 		if !ok {
 			continue
 		}
 		s.window[smp.Func]++
-		s.lifetime[smp.Func]++
 		s.samples++
 		s.deep.Add(smp.Func, smp.Block, smp.LoadID, 1)
 	}
@@ -136,12 +117,11 @@ func (s *PCSampler) Samples() uint64 { return s.samples }
 // Window returns the profile accumulated since the last ResetWindow.
 func (s *PCSampler) Window() Profile { return s.window.Clone() }
 
-// Lifetime returns the all-time profile.
-func (s *PCSampler) Lifetime() Profile { return s.lifetime.Clone() }
+// Lifetime returns the all-time flat profile (DeepLifetime's Flat).
+func (s *PCSampler) Lifetime() Profile { return s.deep.Flat() }
 
 // DeepLifetime returns the all-time hierarchical (function → block → site)
-// profile. Empty (but non-nil) when SetFunctionGranularity(true) was in
-// effect for every sample.
+// profile.
 func (s *PCSampler) DeepLifetime() *DeepProfile { return s.deep.Clone() }
 
 // ResetWindow starts a fresh windowed profile (on phase change).

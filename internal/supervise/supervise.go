@@ -58,11 +58,11 @@ type Config struct {
 	// (default 1.0): a crash loop converges to one restart per
 	// BackoffMaxSeconds.
 	BackoffMaxSeconds float64
-	// Trace, when non-nil, receives supervision events.
-	Trace func(format string, args ...any)
 	// Telemetry receives supervision counters (reaps, restarts, reverted
 	// slots), the backoff/healthy gauges, and reap/re-attach trace events
-	// under the "supervise" subsystem. Nil disables instrumentation.
+	// under the "supervise" subsystem. Nil exports nothing. The counters are
+	// the only record of supervision activity; on a registry shared with
+	// other supervisors (a fleet server's) they hold the cumulative counts.
 	Telemetry *telemetry.Registry
 }
 
@@ -74,19 +74,6 @@ const (
 	// resets to backoffSeconds. Shorter-lived sessions keep doubling it.
 	backoffResetSeconds = 2.0
 )
-
-// Stats expose supervision activity.
-type Stats struct {
-	// Crashes counts runtime deaths observed (injected or external).
-	Crashes int
-	// Restarts counts successful re-attaches.
-	Restarts int
-	// RestartFailures counts Builder errors (each extends the backoff).
-	RestartFailures int
-	// RevertedSlots counts EVT slots pointed back at static code during
-	// recovery.
-	RevertedSlots int
-}
 
 // Supervisor watches one host's runtime/policy session. It implements
 // machine.Agent; register it with the machine INSTEAD of the runtime and
@@ -102,7 +89,10 @@ type Supervisor struct {
 	sessionStart uint64
 	retryAt      uint64
 	backoff      uint64 // cycles
-	stats        Stats
+	// restarts numbers this supervisor's re-attaches for the EvReattach
+	// event and restart span. It is a label, not a metric: the registry's
+	// restarts_total may span several supervisors.
+	restarts int
 
 	// spRecovery spans one reap→…→re-attach episode; spBackoff spans each
 	// backoff wait inside it (one per failed builder attempt).
@@ -161,9 +151,6 @@ func (s *Supervisor) Healthy() bool {
 	return s.sess != nil && !s.sess.Runtime.Crashed()
 }
 
-// Stats returns a snapshot of supervision activity.
-func (s *Supervisor) Stats() Stats { return s.stats }
-
 // Tick implements machine.Agent.
 func (s *Supervisor) Tick(m *machine.Machine) {
 	if s.sess != nil {
@@ -196,13 +183,11 @@ func (s *Supervisor) Close() {
 // reap executes the safety guarantee after a crash: stop the policy, point
 // every EVT slot back at static code, and schedule a re-attach.
 func (s *Supervisor) reap(m *machine.Machine) {
-	s.stats.Crashes++
 	s.cReaps.Inc()
 	if s.sess.Close != nil {
 		s.sess.Close()
 	}
 	reverted := RevertToStatic(s.host)
-	s.stats.RevertedSlots += reverted
 	s.cReverted.Add(uint64(reverted))
 	// A session that lived long enough proves the crash isn't a loop;
 	// start the next backoff sequence fresh.
@@ -221,8 +206,6 @@ func (s *Supervisor) reap(m *machine.Machine) {
 		At: m.Now(), Kind: telemetry.EvReap,
 		Value: float64(reverted), Detail: telemetry.FormatFloat(backoffSec),
 	})
-	s.trace("runtime crashed at %.3fs: %d slots reverted, re-attach in %.3fs",
-		m.NowSeconds(), reverted, backoffSec)
 	s.bumpBackoff(m)
 }
 
@@ -230,11 +213,8 @@ func (s *Supervisor) restart(m *machine.Machine) {
 	s.tel.EndSpan(s.spBackoff, m.Now())
 	sess, err := s.build()
 	if err != nil {
-		s.stats.RestartFailures++
 		s.cFailures.Inc()
 		s.retryAt = m.Now() + s.backoff
-		s.trace("re-attach failed at %.3fs: %v; retry in %.3fs",
-			m.NowSeconds(), err, float64(s.backoff)/m.Config().FreqHz)
 		sp := s.tel.StartSpan("supervise.restart", m.Now(), s.spRecovery)
 		s.tel.SpanAttrs(sp, telemetry.Str("error", err.Error()))
 		s.tel.EndSpan(sp, m.Now())
@@ -245,18 +225,17 @@ func (s *Supervisor) restart(m *machine.Machine) {
 	}
 	s.sess = sess
 	s.sessionStart = m.Now()
-	s.stats.Restarts++
+	s.restarts++
 	s.cRestarts.Inc()
 	s.gHealthy.Set(1)
 	s.tel.Emit(telemetry.Event{
-		At: m.Now(), Kind: telemetry.EvReattach, Value: float64(s.stats.Restarts),
+		At: m.Now(), Kind: telemetry.EvReattach, Value: float64(s.restarts),
 	})
 	sp := s.tel.StartSpan("supervise.restart", m.Now(), s.spRecovery)
-	s.tel.SpanAttrs(sp, telemetry.Num("restart", float64(s.stats.Restarts)))
+	s.tel.SpanAttrs(sp, telemetry.Num("restart", float64(s.restarts)))
 	s.tel.EndSpan(sp, m.Now())
 	s.tel.EndSpan(s.spRecovery, m.Now())
 	s.spRecovery, s.spBackoff = 0, 0
-	s.trace("runtime re-attached at %.3fs (restart %d)", m.NowSeconds(), s.stats.Restarts)
 }
 
 func (s *Supervisor) bumpBackoff(m *machine.Machine) {
@@ -265,12 +244,6 @@ func (s *Supervisor) bumpBackoff(m *machine.Machine) {
 		s.backoff = max
 	}
 	s.gBackoff.Set(float64(s.backoff) / m.Config().FreqHz)
-}
-
-func (s *Supervisor) trace(format string, args ...any) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(format, args...)
-	}
 }
 
 // RevertToStatic points every EVT slot of host at its original static

@@ -44,6 +44,11 @@ func hostProc(t testing.TB) (*machine.Machine, *machine.Process) {
 	return m, host
 }
 
+// count reads one of the supervisor's protean_supervise_<name> counters.
+func count(reg *telemetry.Registry, name string) int {
+	return int(reg.CounterValue("supervise", name))
+}
+
 // dispatchPolicy compiles an all-hints variant of "hot", dispatches it, and
 // returns (the loop absorbs later ticks). A session reaped while its compile
 // is pending is unwound from the Wait. Each incarnation bumps *dispatches when its dispatch lands.
@@ -90,8 +95,10 @@ func TestCrashRevertsAndRestarts(t *testing.T) {
 		return dispatchPolicy(t, rt, &dispatches), nil
 	}
 	crashAt := m.Cycles(0.05)
+	reg := telemetry.New(telemetry.Config{})
 	sup, err := New(m, host, build, Config{
-		CrashFn: func(now uint64) bool { return now == crashAt },
+		CrashFn:   func(now uint64) bool { return now == crashAt },
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -111,14 +118,14 @@ func TestCrashRevertsAndRestarts(t *testing.T) {
 	// quantum it observes the crash, and the host must keep running.
 	before := host.Counters()
 	m.RunSeconds(0.03) // now at 60 ms, past the 50 ms crash
-	if sup.Stats().Crashes != 1 {
-		t.Fatalf("Crashes = %d, want 1", sup.Stats().Crashes)
+	if n := count(reg, "reaps_total"); n != 1 {
+		t.Fatalf("reaps_total = %d, want 1", n)
 	}
 	if !AllStatic(host) {
 		t.Fatal("EVT not reverted to static code after crash")
 	}
-	if sup.Stats().RevertedSlots == 0 {
-		t.Error("RevertedSlots = 0, want > 0")
+	if count(reg, "reverted_slots_total") == 0 {
+		t.Error("reverted_slots_total = 0, want > 0")
 	}
 	if host.Counters().Sub(before).Insts == 0 {
 		t.Error("host stalled across runtime crash")
@@ -130,8 +137,8 @@ func TestCrashRevertsAndRestarts(t *testing.T) {
 	// The re-attach lands within the (first) backoff of 50 ms, and the new
 	// session resumes optimizing: a second dispatch appears.
 	m.RunSeconds(0.1)
-	if sup.Stats().Restarts != 1 {
-		t.Fatalf("Restarts = %d, want 1", sup.Stats().Restarts)
+	if n := count(reg, "restarts_total"); n != 1 {
+		t.Fatalf("restarts_total = %d, want 1", n)
 	}
 	if !sup.Healthy() {
 		t.Fatal("supervisor not healthy after restart")
@@ -153,8 +160,10 @@ func TestCrashLoopBacksOff(t *testing.T) {
 		return &Session{Runtime: rt}, nil
 	}
 	// Every session dies on its first tick: a pathological crash loop.
+	reg := telemetry.New(telemetry.Config{})
 	sup, err := New(m, host, build, Config{
-		CrashFn: func(uint64) bool { return true },
+		CrashFn:   func(uint64) bool { return true },
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -162,13 +171,13 @@ func TestCrashLoopBacksOff(t *testing.T) {
 	m.AddAgent(sup)
 	before := host.Counters()
 	m.RunSeconds(10)
-	st := sup.Stats()
+	restarts, reaps := count(reg, "restarts_total"), count(reg, "reaps_total")
 	// Backoff doubles 50ms -> 1s cap: ~13 restarts in 10s, not thousands.
-	if st.Restarts < 5 || st.Restarts > 25 {
-		t.Errorf("Restarts = %d over 10s crash loop, want backoff-bounded (5..25)", st.Restarts)
+	if restarts < 5 || restarts > 25 {
+		t.Errorf("restarts_total = %d over 10s crash loop, want backoff-bounded (5..25)", restarts)
 	}
-	if st.Crashes < st.Restarts {
-		t.Errorf("Crashes = %d < Restarts = %d", st.Crashes, st.Restarts)
+	if reaps < restarts {
+		t.Errorf("reaps_total = %d < restarts_total = %d", reaps, restarts)
 	}
 	if !AllStatic(host) {
 		t.Error("EVT not static during crash loop")
@@ -182,7 +191,7 @@ func TestCrashLoopBacksOff(t *testing.T) {
 // registry and checks the telemetry plane's view of it: reap and re-attach
 // events strictly alternate in simulated-time order, the backoff gauge
 // grows to the configured cap and no further, and the counters agree with
-// the supervisor's own stats.
+// the events.
 func TestTelemetryEventOrderAndCappedBackoff(t *testing.T) {
 	reg := telemetry.New(telemetry.Config{})
 	m, host := hostProc(t)
@@ -204,16 +213,8 @@ func TestTelemetryEventOrderAndCappedBackoff(t *testing.T) {
 	}
 	m.AddAgent(sup)
 	m.RunSeconds(5)
-	st := sup.Stats()
-	if st.Crashes < 3 {
-		t.Fatalf("Crashes = %d over 5s crash loop, want several", st.Crashes)
-	}
-
-	if got := reg.CounterValue("supervise", "reaps_total"); got != uint64(st.Crashes) {
-		t.Errorf("reaps_total = %d, stats.Crashes = %d", got, st.Crashes)
-	}
-	if got := reg.CounterValue("supervise", "restarts_total"); got != uint64(st.Restarts) {
-		t.Errorf("restarts_total = %d, stats.Restarts = %d", got, st.Restarts)
+	if n := count(reg, "reaps_total"); n < 3 {
+		t.Fatalf("reaps_total = %d over 5s crash loop, want several", n)
 	}
 	if got := reg.GaugeValue("supervise", "backoff_seconds"); got != backoffMax {
 		t.Errorf("backoff_seconds gauge = %v after a sustained crash loop, want capped at %v", got, backoffMax)
@@ -230,6 +231,13 @@ func TestTelemetryEventOrderAndCappedBackoff(t *testing.T) {
 	}
 	if len(seen) < 5 {
 		t.Fatalf("only %d supervision events traced", len(seen))
+	}
+	kinds := map[telemetry.EventKind]int{}
+	for _, ev := range seen {
+		kinds[ev.Kind]++
+	}
+	if r, a := count(reg, "reaps_total"), count(reg, "restarts_total"); kinds[telemetry.EvReap] != r || kinds[telemetry.EvReattach] != a {
+		t.Errorf("traced %d reaps, %d re-attaches; counters say %d, %d", kinds[telemetry.EvReap], kinds[telemetry.EvReattach], r, a)
 	}
 	var prevAt uint64
 	for i, ev := range seen {
@@ -271,20 +279,21 @@ func TestBuilderFailureExtendsBackoff(t *testing.T) {
 		return &Session{Runtime: rt}, nil
 	}
 	crashAt := m.Cycles(0.01)
+	reg := telemetry.New(telemetry.Config{})
 	sup, err := New(m, host, build, Config{
-		CrashFn: func(now uint64) bool { return now == crashAt },
+		CrashFn:   func(now uint64) bool { return now == crashAt },
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	m.AddAgent(sup)
 	m.RunSeconds(1)
-	st := sup.Stats()
-	if st.RestartFailures != 1 {
-		t.Errorf("RestartFailures = %d, want 1", st.RestartFailures)
+	if n := count(reg, "restart_failures_total"); n != 1 {
+		t.Errorf("restart_failures_total = %d, want 1", n)
 	}
-	if st.Restarts != 1 {
-		t.Errorf("Restarts = %d, want 1 (second attempt succeeds)", st.Restarts)
+	if n := count(reg, "restarts_total"); n != 1 {
+		t.Errorf("restarts_total = %d, want 1 (second attempt succeeds)", n)
 	}
 	if !sup.Healthy() {
 		t.Error("supervisor not healthy after eventual restart")

@@ -83,11 +83,6 @@ func (b *spanBuf) insert(s Span) bool {
 // DefaultSpanCap is the span-store bound used when Config.SpanCap is 0.
 const DefaultSpanCap = 8192
 
-// SpanEnabled reports whether StartSpan records anything.
-func (r *Registry) SpanEnabled() bool {
-	return r != nil && r.spans != nil
-}
-
 // StartSpan opens a span at simulated cycle at under parent (0 for a
 // root). Returns 0 (a safe no-op ID) on a nil registry, when spans are
 // disabled, or when the bounded store is full.

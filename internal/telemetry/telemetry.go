@@ -18,8 +18,10 @@
 //     server-index order. Under a fixed seed the merged Prometheus text and
 //     JSONL trace are bit-identical at any worker count.
 //
-// Nil is the no-op: a nil *Registry hands out nil instruments whose methods
-// do nothing, so instrumented code never branches on "is telemetry on".
+// Nil exports nothing: a nil *Registry hands out live but unregistered
+// counters (their owner still counts and reads them) and nil gauges,
+// histograms, events and spans whose methods do nothing, so instrumented
+// code never branches on "is telemetry on".
 // The hot-path cost of a live registry is one pointer increment per event
 // (no maps, no locks, no allocation after registration).
 package telemetry
@@ -228,11 +230,13 @@ func metricName(subsystem, name string) string {
 }
 
 // Counter registers (or returns the existing) counter
-// protean_<subsystem>_<name>. Returns nil on a nil registry; nil counters
-// no-op. help is kept from the first registration.
+// protean_<subsystem>_<name>. help is kept from the first registration. On
+// a nil registry it returns a fresh, unregistered counter: its owner can
+// still count and read it, and nothing is exported — so a counter is the
+// one book for an activity, with or without telemetry.
 func (r *Registry) Counter(subsystem, name, help string) *Counter {
 	if r == nil {
-		return nil
+		return &Counter{}
 	}
 	full := metricName(subsystem, name)
 	c := r.counters[full]

@@ -5,15 +5,19 @@ import (
 	"testing"
 )
 
-// TestNilRegistryIsNoOp: a nil registry hands out nil instruments and every
-// operation no-ops — instrumented code never branches on telemetry being on.
+// TestNilRegistryIsNoOp: a nil registry exports nothing, but its counters
+// still count for their owner — a counter is the one book for an activity
+// whether or not telemetry is on. Gauges, histograms and events no-op.
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	c := r.Counter("core", "compiles_total", "")
 	c.Inc()
 	c.Add(5)
-	if c.Value() != 0 {
-		t.Error("nil counter accumulated")
+	if c.Value() != 6 {
+		t.Errorf("nil registry's counter = %d, want 6 (its owner still counts)", c.Value())
+	}
+	if r.Counter("core", "compiles_total", "") == c {
+		t.Error("nil registry handed out a shared counter; it registers nothing")
 	}
 	g := r.Gauge("pc3d", "nap_intensity", "")
 	g.Set(0.5)

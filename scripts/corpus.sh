@@ -8,9 +8,10 @@
 # does not change, behaviour did not change").
 #
 # Groups, one subdirectory each (default: all):
-#   chaos      PC3D fleet under the bare -chaos preset, eight crash-heavy
-#              chaos-only seeds (crash re-placement with migration off),
-#              figchaos
+#   chaos      PC3D fleet under the bare -chaos preset, the same under
+#              frequent runtime crashes (supervisor reap/restart), eight
+#              crash-heavy chaos-only seeds (crash re-placement with
+#              migration off), figchaos
 #   migration  contention-driven live migration, figmigrate
 #   soak       chaos attacking the migration machinery, figchaosmigrate
 #   slo        crash-heavy migration soak under the SLO engine, an SLO-only
@@ -69,6 +70,9 @@ for g in "${groups[@]}"; do
 		fleet w.txt -servers 6 -instances 4 -mix WL1 -policy round-robin \
 			-seed 42 -solo 0.5 -settle 1.5 -measure 0.5 -max-sites 3 -chaos \
 			-metrics w.prom -trace w.jsonl -spans w.trace.json -profile w.folded
+		fleet rt.txt -servers 4 -mix WL1 -policy round-robin -seed 42 -solo 0.5 \
+			-settle 3 -measure 1 -max-sites 3 -chaos -runtime-mttf 0.5 \
+			-metrics rt.prom -trace rt.jsonl -spans rt.trace.json
 		for seed in 1 2 3 4 5 6 7 8; do
 			fleet "crash$seed.txt" -servers 8 -instances 5 -mix WL1 -system none \
 				-policy round-robin -seed "$seed" -solo 0.3 -settle 0.5 -measure 0.5 \
