@@ -186,9 +186,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of the level's counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -347,24 +344,6 @@ func (c *Cache) Probe(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Occupancy counts valid lines whose addresses fall in [lo, hi). It walks
-// the whole cache; use it for measurements, not on hot paths.
-func (c *Cache) Occupancy(lo, hi uint64) int {
-	loLine, hiLine := lo>>c.lineBits, hi>>c.lineBits
-	n := 0
-	for i, t := range c.tags {
-		if t&1 == 0 {
-			continue
-		}
-		set := uint64(i / c.assoc)
-		lineAddr := (t>>1)*c.numSets + set
-		if lineAddr >= loLine && lineAddr < hiLine {
-			n++
-		}
-	}
-	return n
 }
 
 // ValidLines counts all valid lines.

@@ -123,12 +123,6 @@ func TestOccupancy(t *testing.T) {
 	for a := uint64(0); a < 1024; a += 64 {
 		c.Access(a, false)
 	}
-	if got := c.Occupancy(0, 1024); got != 16 {
-		t.Errorf("Occupancy(0,1024) = %d, want 16", got)
-	}
-	if got := c.Occupancy(1024, 4096); got != 0 {
-		t.Errorf("Occupancy(1024,4096) = %d, want 0", got)
-	}
 	if got := c.ValidLines(); got != 16 {
 		t.Errorf("ValidLines = %d, want 16", got)
 	}

@@ -241,18 +241,6 @@ func (h *Hierarchy) L2(core int) *Cache { return h.l2[core] }
 // CoreStats returns a snapshot of core's shared-LLC counters.
 func (h *Hierarchy) CoreStats(core int) CoreStats { return h.per[core] }
 
-// Reset clears all levels and counters.
-func (h *Hierarchy) Reset() {
-	for i := range h.l1 {
-		h.l1[i].Reset()
-		h.l2[i].Reset()
-	}
-	h.llc.Reset()
-	for i := range h.per {
-		h.per[i] = CoreStats{}
-	}
-}
-
 // LLCOccupancy returns each core's share of valid shared-LLC lines (by
 // fill attribution). A full-cache walk: use for periodic monitoring, not
 // hot paths.

@@ -71,9 +71,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.WithDefaults()}
 }
 
-// Config returns the effective configuration.
-func (b *Breaker) Config() BreakerConfig { return b.cfg }
-
 // State returns the breaker's position.
 func (b *Breaker) State() BreakerState { return b.state }
 

@@ -178,9 +178,6 @@ func New(n int, cfg Config) *Detector {
 	return d
 }
 
-// Config returns the effective configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // Epoch returns how many Observe calls have been made.
 func (d *Detector) Epoch() int { return d.epoch }
 

@@ -201,10 +201,6 @@ func (rt *Runtime) IR() *ir.Module { return rt.baseIR }
 // Sampler exposes the host PC sampler for policies.
 func (rt *Runtime) Sampler() *sampling.PCSampler { return rt.sampler }
 
-// Telemetry returns the registry this runtime reports into (nil when
-// uninstrumented).
-func (rt *Runtime) Telemetry() *telemetry.Registry { return rt.tel }
-
 // Tick advances the runtime one quantum: takes PC samples, accounts
 // monitoring cost, and completes finished compile jobs. A crashed runtime
 // does nothing.

@@ -381,11 +381,11 @@ func TestStressRecompiler(t *testing.T) {
 	s := NewStressRecompiler(rt, 5*ms, 42)
 	m.AddAgent(s)
 	m.RunQuanta(500) // 500 ms: ~55 compile+interval periods of 9 ms
-	if s.Recompiles() < 20 {
-		t.Errorf("Recompiles = %d, want >= 20", s.Recompiles())
+	if n := rt.cCompiles.Value(); n < 20 {
+		t.Errorf("completed recompiles = %d, want >= 20", n)
 	}
-	if s.Failures() != 0 {
-		t.Errorf("Failures = %d", s.Failures())
+	if n := rt.cCompileFails.Value(); n != 0 {
+		t.Errorf("failed recompiles = %d", n)
 	}
 	if host.Halted() {
 		t.Error("host halted under stress")

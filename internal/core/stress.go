@@ -24,8 +24,6 @@ type StressRecompiler struct {
 	rng        *rand.Rand
 	nextAt     uint64
 	inFlight   bool
-	recompiles uint64
-	failures   uint64
 }
 
 // NewStressRecompiler builds a stress driver over rt selecting among all
@@ -55,30 +53,19 @@ func (s *StressRecompiler) Tick(m *machine.Machine) {
 		s.inFlight = false
 		s.nextAt = m.Now() + s.IntervalCycles
 		if err != nil {
-			s.failures++
 			return
 		}
-		s.recompiles++
 		// Dispatch when the function is reachable through the EVT; entry
 		// functions and non-virtualized callees are recompiled but cannot
 		// be rerouted — same as on real hardware.
 		if s.rt.Host().EVT().SlotFor(fn) >= 0 {
-			if derr := s.rt.Dispatch(v); derr != nil {
-				s.failures++
-			}
+			_ = s.rt.Dispatch(v) // a failed dispatch leaves static code running
 		}
 	})
 	if err != nil {
 		s.inFlight = false
-		s.failures++
 	}
 }
-
-// Recompiles counts successfully completed recompilations.
-func (s *StressRecompiler) Recompiles() uint64 { return s.recompiles }
-
-// Failures counts failed requests or dispatches.
-func (s *StressRecompiler) Failures() uint64 { return s.failures }
 
 // NTTransform returns a Transform that sets the non-temporal bit on
 // exactly the loads whose IDs are in mask — the code-variant generator

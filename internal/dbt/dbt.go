@@ -29,14 +29,3 @@ func DynamoRIO() *machine.DBTConfig {
 		TranslateCyclesPerSite: 400,
 	}
 }
-
-// Interpreter returns a cost model for a pure interpreter (no code cache):
-// every transfer is expensive. Included for the overhead spectrum in
-// ablation benches; not a paper baseline.
-func Interpreter() *machine.DBTConfig {
-	return &machine.DBTConfig{
-		DirectTransferCycles:   15,
-		IndirectTransferCycles: 60,
-		TranslateCyclesPerSite: 0,
-	}
-}

@@ -61,11 +61,3 @@ func TestDynamoRIOMeanOverhead(t *testing.T) {
 		t.Errorf("mean DynamoRIO slowdown %.3fx, want ~1.18x", mean)
 	}
 }
-
-func TestInterpreterWorseThanDynamoRIO(t *testing.T) {
-	interp := slowdown(t, "gobmk", Interpreter())
-	dr := slowdown(t, "gobmk", DynamoRIO())
-	if interp <= dr {
-		t.Errorf("interpreter %.3fx should exceed DynamoRIO %.3fx", interp, dr)
-	}
-}

@@ -117,9 +117,6 @@ func TestFlakySourceAndWindow(t *testing.T) {
 	if q, ok := fsNaN.QoS(); !ok || !math.IsNaN(q) {
 		t.Errorf("dark NaN sensor = (%v, %v), want (NaN, true)", q, ok)
 	}
-	if fs.Dropped() != 1 || fsNaN.Dropped() != 1 {
-		t.Error("dropout counts wrong")
-	}
 	clear := &FlakySource{Src: constSrc, M: m, Drop: func(uint64) bool { return false }}
 	if q, ok := clear.QoS(); !ok || q != 0.9 {
 		t.Errorf("clear sensor = (%v, %v), want (0.9, true)", q, ok)

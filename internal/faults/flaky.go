@@ -19,14 +19,11 @@ type FlakySource struct {
 	Drop func(nowCycles uint64) bool
 	// NaN selects corrupted-sensor mode.
 	NaN bool
-
-	dropped int
 }
 
 // QoS implements qos.Source.
 func (f *FlakySource) QoS() (float64, bool) {
 	if f.Drop != nil && f.Drop(f.M.Now()) {
-		f.dropped++
 		if f.NaN {
 			return math.NaN(), true
 		}
@@ -35,17 +32,12 @@ func (f *FlakySource) QoS() (float64, bool) {
 	return f.Src.QoS()
 }
 
-// Dropped counts readings lost to the schedule.
-func (f *FlakySource) Dropped() int { return f.dropped }
-
 // FlakyWindow wraps a qos.WindowScorer the same way: a window whose Score
 // falls in a dark period yields no (or NaN) signal.
 type FlakyWindow struct {
 	Win  qos.WindowScorer
 	Drop func(nowCycles uint64) bool
 	NaN  bool
-
-	dropped int
 }
 
 // Mark implements qos.WindowScorer.
@@ -54,7 +46,6 @@ func (f *FlakyWindow) Mark(m *machine.Machine) { f.Win.Mark(m) }
 // Score implements qos.WindowScorer.
 func (f *FlakyWindow) Score(m *machine.Machine) (float64, bool) {
 	if f.Drop != nil && f.Drop(m.Now()) {
-		f.dropped++
 		if f.NaN {
 			return math.NaN(), true
 		}
@@ -62,6 +53,3 @@ func (f *FlakyWindow) Score(m *machine.Machine) (float64, bool) {
 	}
 	return f.Win.Score(m)
 }
-
-// Dropped counts windows lost to the schedule.
-func (f *FlakyWindow) Dropped() int { return f.dropped }

@@ -108,8 +108,8 @@ func (r *AuditReport) WriteJSON(w io.Writer) error {
 		if i > 0 {
 			b.WriteString(",")
 		}
-		fmt.Fprintf(&b, "\n    {\"epoch\": %d, \"kind\": %q, \"server\": %d, \"detail\": %q}",
-			v.Epoch, v.Kind, v.Server, v.Detail)
+		fmt.Fprintf(&b, "\n    {\"epoch\": %d, \"kind\": %s, \"server\": %d, \"detail\": %s}",
+			v.Epoch, telemetry.JSONString(v.Kind), v.Server, telemetry.JSONString(v.Detail))
 	}
 	b.WriteString("\n  ]\n}\n")
 	_, err := io.WriteString(w, b.String())

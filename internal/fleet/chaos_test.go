@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/contend"
 	"repro/internal/datacenter"
 	"repro/internal/faults"
+	"repro/internal/telemetry"
 )
 
 // chaosConfig is a small PC3D fleet with every fault class switched on.
@@ -72,7 +74,7 @@ func TestTelemetrySnapshotDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		tel := f.Telemetry()
-		return tel.PrometheusText(), tel.JSONL()
+		return tel.PrometheusText(), render(tel.WriteJSONL)
 	}
 	prom1, trace1 := run(1)
 	prom8, trace8 := run(8)
@@ -179,5 +181,67 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	}
 	if faulty.QoS.Mean <= 0.3 {
 		t.Errorf("mean QoS %.3f collapsed under crashes", faulty.QoS.Mean)
+	}
+}
+
+// TestCrashReplacementOnOneClock: every crash instant is a barrier, with
+// migration on or off, so a victim lands at exactly crash +
+// RestartDelaySeconds on both paths — including a crash in the last
+// migration window, which a run that reacted only at window barriers would
+// never settle.
+func TestCrashReplacementOnOneClock(t *testing.T) {
+	cfg := Config{
+		Servers:        6,
+		Instances:      3,
+		Webservice:     "web-search",
+		Mix:            datacenter.Mix{Name: "test", Apps: []string{"er-naive"}},
+		System:         SystemNone,
+		Policy:         RoundRobin{},
+		Seed:           7,
+		Workers:        2,
+		SoloSeconds:    0.5,
+		SettleSeconds:  0.5,
+		MeasureSeconds: 1.5,
+		Chaos:          &faults.Chaos{Seed: 3, ServerCrashProb: 0.6, RestartDelaySeconds: 0.05},
+	}
+	run := func(cfg Config) (Metrics, []float64) {
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var landed []float64
+		for _, e := range f.Telemetry().Events() {
+			if e.Kind == telemetry.EvReplacement {
+				landed = append(landed, float64(e.At)/10e6)
+			}
+		}
+		return m, landed
+	}
+	bare, bareAt := run(cfg)
+	// A migration clock whose detector never flags: only the crash clock
+	// may differ between the two runs.
+	cfg.Migration = &MigrationConfig{WindowSeconds: 0.5, Detector: contend.Config{Enter: 1e9}}
+	mig, migAt := run(cfg)
+	t.Logf("bare %d replaced, %d unplaced, landings %v; migration %d replaced, %d unplaced, landings %v",
+		bare.Replacements, bare.UnplacedInstances, bareAt, mig.Replacements, mig.UnplacedInstances, migAt)
+	want := []float64{0.403, 1.920}
+	for name, got := range map[string][]float64{"without migration": bareAt, "with migration": migAt} {
+		if len(got) != len(want) {
+			t.Errorf("%s: landings at %v s, want ≈%v", name, got, want)
+			continue
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 0.002 {
+				t.Errorf("%s: landing %d at %.4f s, want ≈%.3f", name, i, got[i], want[i])
+			}
+		}
+	}
+	if bare.Replacements != len(want) || mig.Replacements != len(want) || mig.UnplacedInstances != bare.UnplacedInstances {
+		t.Errorf("replaced/unplaced = %d/%d with migration, %d/%d without; want %d replaced on both",
+			mig.Replacements, mig.UnplacedInstances, bare.Replacements, bare.UnplacedInstances, len(want))
 	}
 }

@@ -113,10 +113,6 @@ func (f *Fleet) ContendStatus() *ContendStatus { return f.latest().contend }
 // call from any goroutine; the snapshot is shared, read-only.
 func (f *Fleet) AuditReport() *AuditReport { return f.latest().audit }
 
-// SLOStatusJSON returns the engine's latest published status ("" before the
-// first barrier, or with SLO off). Safe from any goroutine.
-func (f *Fleet) SLOStatusJSON() string { return f.latest().slo }
-
 // AlertLogJSON returns the latest published alert log ("" before the first
 // barrier, or with SLO off). Safe from any goroutine.
 func (f *Fleet) AlertLogJSON() string { return f.latest().alerts }

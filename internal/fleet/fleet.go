@@ -641,20 +641,18 @@ func (f *Fleet) Run() (Metrics, error) {
 // functions of (seed, epoch counters) and segment boundaries change nothing
 // about what each machine computes, so the timeline is bit-identical at any
 // worker count. Migration and SLO share one epoch clock; with migration on,
-// its window wins (see SLOConfig.withDefaults). A run with neither and no
-// crashes has no barriers at all: finish() drains every server in one pass.
+// its window wins (see SLOConfig.withDefaults). Every crash instant is a
+// barrier too, in every run: the scheduler reacts to a crash the instant it
+// happens, so a victim lands at exactly crash + RestartDelaySeconds. A run
+// with no epoch clock and no crashes has no barriers at all: finish()
+// drains every server in one pass.
 func (f *Fleet) runEpochs(sims []*serverSim, horizon float64, plan *chaosPlan) error {
 	var g *migrator
-	var crashes []float64
+	crashes := plan.crashTimes()
 	window := math.Inf(1)
 	if f.cfg.Migration != nil {
 		g = f.newMigrator(sims, horizon)
 		window = g.mc.WindowSeconds
-	} else {
-		// Without a migration coordinator the scheduler reacts to a crash
-		// the instant it happens (landings at exactly crash +
-		// RestartDelaySeconds) rather than on the coordinator's clock.
-		crashes = plan.crashTimes()
 	}
 	if f.cfg.SLO != nil {
 		f.sloObs = f.newSLOObserver(sims, horizon)

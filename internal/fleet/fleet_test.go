@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contend"
 	"repro/internal/datacenter"
 	"repro/internal/faults"
 	"repro/internal/loadgen"
@@ -183,5 +184,60 @@ func TestConfigValidation(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSeedChangesMachineNotSchedule: Config.Seed is connected. On a
+// control-plane fleet (load-gated diurnal trace, chaos, migration, SLOs)
+// with the fault schedule pinned by Chaos.Seed, two fleet seeds crash the
+// same servers and land the same number of migrations, but every machine
+// is seeded from Config.Seed and er-naive draws its random addresses from
+// that stream, so the servers' measured utilization differs.
+func TestSeedChangesMachineNotSchedule(t *testing.T) {
+	run := func(seed int64) Metrics {
+		const window = 0.0625
+		f, err := New(Config{
+			Servers: 12, Instances: 4, Webservice: "web-search",
+			Mix:    datacenter.Mix{Name: "contended", Apps: []string{"er-naive", "milc"}},
+			System: SystemNone, Policy: RoundRobin{},
+			Seed: seed, Workers: 2,
+			SoloSeconds: 0.25, SettleSeconds: 0.5, MeasureSeconds: 0.125,
+			Trace:              loadgen.Offset{Trace: loadgen.Diurnal{Period: 60, Low: 0.25, High: 0.95}, By: 24},
+			PhaseSpreadSeconds: 60,
+			Chaos: &faults.Chaos{
+				Seed: 13, ServerCrashProb: 0.15, RestartDelaySeconds: window,
+				MoveDetachFailProb: 0.10, MoveLandFailProb: 0.30, MoveStallMaxSeconds: window / 2,
+				SampleCorruptProb: 0.02, SampleStaleProb: 0.05, QoSDropoutProb: 0.05,
+			},
+			Migration: &MigrationConfig{
+				WindowSeconds: window, BlackoutSeconds: window, BudgetPerEpoch: 2, MaxLandAttempts: 2,
+				Detector: contend.Config{Window: 3, MinSamples: 2, Cooldown: 2, Quantile: 0.75, Enter: 1.25, Exit: 1.05},
+				Breaker:  contend.BreakerConfig{FailureThreshold: 2, CooldownEpochs: 3},
+			},
+			SLO: &SLOConfig{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := run(1), run(2)
+	for i := range a.PerServer {
+		if a.PerServer[i].Crashed != b.PerServer[i].Crashed {
+			t.Errorf("server %d: crashed %v at seed 1, %v at seed 2; Chaos.Seed alone fixes the schedule",
+				i, a.PerServer[i].Crashed, b.PerServer[i].Crashed)
+		}
+	}
+	if a.Crashes != 1 || b.Crashes != 1 || a.Migrations != 3 || b.Migrations != 3 {
+		t.Errorf("crashes %d/%d, migrations %d/%d at seeds 1/2, want 1/1 and 3/3",
+			a.Crashes, b.Crashes, a.Migrations, b.Migrations)
+	}
+	ua, ub := a.PerServer[7].Utilization, b.PerServer[7].Utilization
+	if math.Abs(ua-0.3714) > 5e-5 || math.Abs(ub-0.3661) > 5e-5 {
+		t.Errorf("server 7 utilization %.4f / %.4f at seeds 1/2, want 0.3714 / 0.3661", ua, ub)
 	}
 }

@@ -5,10 +5,11 @@
 // worker pool advances them; segment boundaries change nothing about what
 // each machine computes), and a single-threaded coordinator:
 //
-//  1. re-places instances off servers that crashed since the last epoch
-//     (the cluster scheduler's reaction — replaceDead, which the control
-//     loop runs at every barrier — computed against live occupancy rather
-//     than the static t=0 assignment),
+//  1. has already re-placed instances off servers that crashed since the
+//     last epoch (the cluster scheduler's reaction — replaceDead, which
+//     the control loop runs at every crash instant, each one a barrier of
+//     its own — computed against live occupancy rather than the static
+//     t=0 assignment),
 //  2. samples every server's counters since the previous epoch (CPI,
 //     MPKI, LLC miss bandwidth, offered load), evicting dead servers from
 //     the detector and applying any seeded sensor faults (corrupted or
@@ -184,7 +185,7 @@ func (st *ContendStatus) WriteJSON(w io.Writer) error {
 	fmt.Fprintf(&b, "  \"moves_failed\": %d,\n  \"rollbacks\": %d,\n  \"retries\": %d,\n",
 		st.MovesFailed, st.Rollbacks, st.Retries)
 	fmt.Fprintf(&b, "  \"corrupt_samples\": %d,\n  \"stale_samples\": %d,\n", st.CorruptSamples, st.StaleSamples)
-	fmt.Fprintf(&b, "  \"breaker_state\": %q,\n  \"breaker_trips\": %d,\n", st.BreakerState, st.BreakerTrips)
+	fmt.Fprintf(&b, "  \"breaker_state\": %s,\n  \"breaker_trips\": %d,\n", telemetry.JSONString(st.BreakerState), st.BreakerTrips)
 	b.WriteString("  \"servers\": [")
 	for i, sv := range st.Servers {
 		if i > 0 {
@@ -202,8 +203,9 @@ func (st *ContendStatus) WriteJSON(w io.Writer) error {
 		if i > 0 {
 			b.WriteString(",")
 		}
-		fmt.Fprintf(&b, "\n    {\"epoch\": %d, \"at_seconds\": %s, \"app\": %q, \"from\": %d, \"to\": %d, \"planned_to\": %d, \"land_at\": %s, \"outcome\": %q, \"attempts\": %d, \"quanta\": %d}",
-			mv.Epoch, ff(mv.AtSeconds), mv.App, mv.From, mv.To, mv.PlannedTo, ff(mv.LandAtSeconds), mv.Outcome, mv.Attempts, mv.QuantaLost)
+		fmt.Fprintf(&b, "\n    {\"epoch\": %d, \"at_seconds\": %s, \"app\": %s, \"from\": %d, \"to\": %d, \"planned_to\": %d, \"land_at\": %s, \"outcome\": %s, \"attempts\": %d, \"quanta\": %d}",
+			mv.Epoch, ff(mv.AtSeconds), telemetry.JSONString(mv.App), mv.From, mv.To, mv.PlannedTo, ff(mv.LandAtSeconds),
+			telemetry.JSONString(mv.Outcome), mv.Attempts, mv.QuantaLost)
 	}
 	b.WriteString("\n  ]\n}\n")
 	_, err := io.WriteString(w, b.String())

@@ -83,7 +83,7 @@ func doMigrateRun(t *testing.T, cfg Config) migrateRun {
 		status:  st,
 		report:  rep,
 		prom:    f.Telemetry().PrometheusText(),
-		jsonl:   f.Telemetry().JSONL(),
+		jsonl:   render(f.Telemetry().WriteJSONL),
 		contend: cj.String(),
 		audit:   aj.String(),
 		placed:  placed,

@@ -146,11 +146,11 @@ func (f *Fleet) Handler() http.Handler {
 		status, reason := f.health()
 		w.Header().Set("Content-Type", "application/json")
 		if reason != "" {
-			fmt.Fprintf(w, "{\"status\":%q,\"reason\":%q,\"servers\":%d,\"published\":%d}\n",
-				status, reason, f.cfg.Servers, published)
+			fmt.Fprintf(w, "{\"status\":%s,\"reason\":%s,\"servers\":%d,\"published\":%d}\n",
+				telemetry.JSONString(status), telemetry.JSONString(reason), f.cfg.Servers, published)
 			return
 		}
-		fmt.Fprintf(w, "{\"status\":%q,\"servers\":%d,\"published\":%d}\n", status, f.cfg.Servers, published)
+		fmt.Fprintf(w, "{\"status\":%s,\"servers\":%d,\"published\":%d}\n", telemetry.JSONString(status), f.cfg.Servers, published)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

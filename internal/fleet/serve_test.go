@@ -28,7 +28,7 @@ func TestObservabilityExportsDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err := f.WriteProfile(&prof); err != nil {
 			t.Fatal(err)
 		}
-		return f.Telemetry().ChromeTraceJSON(), prof.String()
+		return render(f.Telemetry().WriteChromeTrace), prof.String()
 	}
 	trace1, prof1 := run(1)
 	trace8, prof8 := run(8)

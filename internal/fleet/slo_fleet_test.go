@@ -52,7 +52,7 @@ func doSLORun(t *testing.T, cfg Config) sloRun {
 	}
 	return sloRun{
 		m:       m,
-		status:  f.SLOStatusJSON(),
+		status:  f.latest().slo,
 		alerts:  f.AlertLogJSON(),
 		tsdb:    db.String(),
 		bundles: bundles,
@@ -160,8 +160,8 @@ func TestSLOWithoutMigration(t *testing.T) {
 	if !strings.Contains(db.String(), `"protean_fleet_scrape_interval_quanta"`) {
 		t.Error("tsdb export missing sampled registry gauge")
 	}
-	if !strings.Contains(f.SLOStatusJSON(), `"name": "qos-attainment"`) {
-		t.Errorf("SLO status missing default specs:\n%s", f.SLOStatusJSON())
+	if st := f.latest().slo; !strings.Contains(st, `"name": "qos-attainment"`) {
+		t.Errorf("SLO status missing default specs:\n%s", st)
 	}
 }
 
@@ -186,6 +186,20 @@ func TestHealthDegraded(t *testing.T) {
 	f.publish(func(p *published) { p.audit = &AuditReport{} })
 	if st, _ := f.health(); st != "ok" {
 		t.Errorf("recovered health = %s, want ok", st)
+	}
+}
+
+// TestExportsSurviveAParser: an audit detail or app name carrying a control
+// byte still renders JSON that encoding/json accepts.
+func TestExportsSurviveAParser(t *testing.T) {
+	odd := "x\x01y"
+	rep := &AuditReport{Violations: []AuditViolation{{Kind: "lost", Detail: odd}}}
+	st := &ContendStatus{Moves: []MoveRecord{{App: odd, Outcome: "landed"}}}
+	for what, doc := range map[string]string{"audit": render(rep.WriteJSON), "contend": render(st.WriteJSON)} {
+		var v any
+		if err := json.Unmarshal([]byte(doc), &v); err != nil {
+			t.Errorf("%s export does not parse: %v\n%s", what, err, doc)
+		}
 	}
 }
 

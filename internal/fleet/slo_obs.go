@@ -351,9 +351,9 @@ func (o *sloObserver) traceTailJSON() string {
 		if i > 0 {
 			b.WriteString(",")
 		}
-		fmt.Fprintf(&b, "\n    {\"at\": %d, \"kind\": %q, \"server\": %d, \"core\": %d, \"func\": %q, \"value\": %s, \"detail\": %q}",
-			e.At, string(e.Kind), e.Server, e.Core, e.Func,
-			telemetry.FormatFloat(e.Value), e.Detail)
+		fmt.Fprintf(&b, "\n    {\"at\": %d, \"kind\": %s, \"server\": %d, \"core\": %d, \"func\": %s, \"value\": %s, \"detail\": %s}",
+			e.At, telemetry.JSONString(e.Kind), e.Server, e.Core, telemetry.JSONString(e.Func),
+			telemetry.FormatFloat(e.Value), telemetry.JSONString(e.Detail))
 	}
 	b.WriteString("\n  ]")
 	return b.String()
@@ -382,8 +382,8 @@ func (o *sloObserver) openSpansJSON() string {
 		if i > 0 {
 			b.WriteString(",")
 		}
-		fmt.Fprintf(&b, "\n    {\"id\": %d, \"parent\": %d, \"name\": %q, \"server\": %d, \"start\": %d}",
-			s.ID, s.Parent, s.Name, s.Server, s.Start)
+		fmt.Fprintf(&b, "\n    {\"id\": %d, \"parent\": %d, \"name\": %s, \"server\": %d, \"start\": %d}",
+			s.ID, s.Parent, telemetry.JSONString(s.Name), s.Server, s.Start)
 	}
 	b.WriteString("\n  ]")
 	return b.String()

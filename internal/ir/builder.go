@@ -84,9 +84,6 @@ func (fb *FunctionBuilder) Block(name string) *Block {
 // SetBlock selects the block new instructions append to.
 func (fb *FunctionBuilder) SetBlock(b *Block) { fb.cur = b }
 
-// Current returns the currently selected block.
-func (fb *FunctionBuilder) Current() *Block { return fb.cur }
-
 // Const emits r = const v and returns r.
 func (fb *FunctionBuilder) Const(v int64) Reg {
 	r := fb.NewReg()

@@ -164,91 +164,6 @@ func (lv *Liveness) DeadDefs() []InstrRef {
 	return out
 }
 
-// DefSite is one static register definition.
-type DefSite struct {
-	Block, Instr int
-	Reg          ir.Reg
-}
-
-// ReachingDefs holds the reaching-definitions facts for one function.
-// Facts are indices into Defs.
-type ReachingDefs struct {
-	Fn  *ir.Function
-	CFG *ir.CFG
-	// Defs lists every definition in block-then-instruction order; fact i
-	// means "Defs[i] reaches this point".
-	Defs []DefSite
-	// DefsOf maps a register to its fact indices, ascending.
-	DefsOf map[ir.Reg][]int
-	// BlockDefStart[b] is the fact index of block b's first definition.
-	BlockDefStart []int
-	// In[b]/Out[b] are the definitions reaching block b's entry/exit.
-	In, Out []BitSet
-}
-
-// ComputeReachingDefs runs classic forward may reaching-definitions.
-func ComputeReachingDefs(f *ir.Function) *ReachingDefs {
-	cfg := ir.BuildCFG(f)
-	n := len(f.Blocks)
-
-	var defs []DefSite
-	defsOf := make(map[ir.Reg][]int) // reg -> fact indices, ascending
-	blockStart := make([]int, n+1)
-	for bi, b := range f.Blocks {
-		blockStart[bi] = len(defs)
-		for ii, in := range b.Instrs {
-			if dst, ok := instrDef(in); ok {
-				defsOf[dst] = append(defsOf[dst], len(defs))
-				defs = append(defs, DefSite{Block: bi, Instr: ii, Reg: dst})
-			}
-		}
-	}
-	blockStart[n] = len(defs)
-	nd := len(defs)
-
-	gen := make([]BitSet, n)
-	kill := make([]BitSet, n)
-	for bi := range f.Blocks {
-		g, k := NewBitSet(nd), NewBitSet(nd)
-		// Walk this block's defs in order: each def kills every other def
-		// of its register; the last def of each register is downward
-		// exposed (gen), overriding earlier local kills of itself.
-		for d := blockStart[bi]; d < blockStart[bi+1]; d++ {
-			for _, other := range defsOf[defs[d].Reg] {
-				k.Set(other)
-			}
-			g.Clear(d) // an earlier pass may have genned an earlier def
-		}
-		for d := blockStart[bi]; d < blockStart[bi+1]; d++ {
-			// Downward exposed iff no later def of the same reg in bi.
-			last := true
-			for o := d + 1; o < blockStart[bi+1]; o++ {
-				if defs[o].Reg == defs[d].Reg {
-					last = false
-					break
-				}
-			}
-			if last {
-				g.Set(d)
-				k.Clear(d)
-			}
-		}
-		gen[bi], kill[bi] = g, k
-	}
-
-	res := Solve(Problem{
-		CFG:      cfg,
-		Dir:      Forward,
-		Meet:     Union,
-		NumFacts: nd,
-		Transfer: GenKill(gen, kill),
-	})
-	return &ReachingDefs{
-		Fn: f, CFG: cfg, Defs: defs, DefsOf: defsOf,
-		BlockDefStart: blockStart, In: res.In, Out: res.Out,
-	}
-}
-
 // UninitUse is a register read not preceded by a definition on every path
 // from the function entry.
 type UninitUse struct {
@@ -313,98 +228,6 @@ func UseBeforeDef(f *ir.Function) []UninitUse {
 				out = append(out, UninitUse{Block: bi, Instr: len(b.Instrs), Reg: r, Term: true})
 			}
 		})
-	}
-	return out
-}
-
-// blockLoops maps each block index to the innermost loop containing it.
-func blockLoops(lf *ir.LoopForest, n int) []*ir.Loop {
-	inner := make([]*ir.Loop, n)
-	var walk func(l *ir.Loop)
-	walk = func(l *ir.Loop) {
-		for _, b := range l.Blocks {
-			if inner[b] == nil || l.Depth > inner[b].Depth {
-				inner[b] = l
-			}
-		}
-		for _, c := range l.Children {
-			walk(c)
-		}
-	}
-	for _, r := range lf.Roots {
-		walk(r)
-	}
-	return inner
-}
-
-// OperandUse is one register operand read inside a loop whose value is
-// loop-invariant.
-type OperandUse struct {
-	Block, Instr int
-	Reg          ir.Reg
-	// LoopHeader is the header block index of the innermost enclosing loop.
-	LoopHeader int
-	// Term marks a terminator read; Instr is then len(Block.Instrs).
-	Term bool
-}
-
-// LoopInvariantUses returns register reads inside loops whose value cannot
-// change across iterations of the innermost enclosing loop: every
-// definition reaching the use lies outside that loop. Results are ordered
-// by block then instruction index.
-func LoopInvariantUses(f *ir.Function, lf *ir.LoopForest, rd *ReachingDefs) []OperandUse {
-	n := len(f.Blocks)
-	inner := blockLoops(lf, n)
-
-	inLoop := make([]map[int]bool, n)
-	for b := 0; b < n; b++ {
-		if l := inner[b]; l != nil {
-			set := make(map[int]bool, len(l.Blocks))
-			for _, lb := range l.Blocks {
-				set[lb] = true
-			}
-			inLoop[b] = set
-		}
-	}
-
-	var out []OperandUse
-	reach := NewBitSet(len(rd.Defs))
-	for bi, b := range f.Blocks {
-		loop := inner[bi]
-		if loop == nil || !rd.CFG.Reachable(bi) {
-			continue
-		}
-		body := inLoop[bi]
-		reach.CopyFrom(rd.In[bi])
-		check := func(r ir.Reg, ii int, term bool) {
-			invariant := true
-			any := false
-			reach.ForEach(func(d int) {
-				if rd.Defs[d].Reg != r {
-					return
-				}
-				any = true
-				if body[rd.Defs[d].Block] {
-					invariant = false
-				}
-			})
-			if any && invariant {
-				out = append(out, OperandUse{Block: bi, Instr: ii, Reg: r, LoopHeader: loop.Header, Term: term})
-			}
-		}
-		di := rd.BlockDefStart[bi]
-		for ii, in := range b.Instrs {
-			instrReads(in, func(r ir.Reg) { check(r, ii, false) })
-			if dst, ok := instrDef(in); ok {
-				// Kill all other defs of dst, gen this one.
-				for _, d := range rd.DefsOf[dst] {
-					reach.Clear(d)
-				}
-				reach.Set(di)
-				di++
-			}
-		}
-		termReads(b.Term, func(r ir.Reg) { check(r, len(b.Instrs), true) })
 	}
 	return out
 }

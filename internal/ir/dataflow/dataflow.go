@@ -1,7 +1,7 @@
 // Package dataflow implements a deterministic iterative worklist fixpoint
 // engine over ir.BuildCFG, plus the concrete analyses the toolchain builds
-// on it: liveness, reaching definitions, use-before-def, dead stores, and
-// loop-invariant address operands.
+// on it: liveness, dead stores, use-before-def and loop-invariant address
+// loads.
 //
 // The engine is the classic round-robin worklist algorithm specialized for
 // reproducibility: blocks are always processed in reverse postorder (or its
@@ -41,7 +41,7 @@ const (
 	Intersect
 )
 
-// BitSet is a fixed-capacity bit vector over facts [0, Len).
+// BitSet is a fixed-capacity bit vector over facts [0, n).
 type BitSet struct {
 	n     int
 	words []uint64
@@ -52,9 +52,6 @@ func NewBitSet(n int) BitSet {
 	return BitSet{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// Len returns the fact capacity.
-func (s BitSet) Len() int { return s.n }
-
 // Has reports whether fact i is set.
 func (s BitSet) Has(i int) bool { return s.words[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -64,13 +61,6 @@ func (s BitSet) Set(i int) { s.words[i/64] |= 1 << (uint(i) % 64) }
 // Clear removes fact i.
 func (s BitSet) Clear(i int) { s.words[i/64] &^= 1 << (uint(i) % 64) }
 
-// Reset clears all facts.
-func (s BitSet) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Fill sets all n facts (top for intersection problems).
 func (s BitSet) Fill() {
 	for i := range s.words {
@@ -79,7 +69,7 @@ func (s BitSet) Fill() {
 	s.trim()
 }
 
-// trim zeroes the bits past Len in the last word.
+// trim zeroes the bits past n in the last word.
 func (s BitSet) trim() {
 	if rem := uint(s.n) % 64; rem != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] &= (1 << rem) - 1
@@ -88,13 +78,6 @@ func (s BitSet) trim() {
 
 // CopyFrom overwrites s with o. The sets must have equal capacity.
 func (s BitSet) CopyFrom(o BitSet) { copy(s.words, o.words) }
-
-// Clone returns an independent copy.
-func (s BitSet) Clone() BitSet {
-	c := NewBitSet(s.n)
-	copy(c.words, s.words)
-	return c
-}
 
 // Equal reports whether s and o hold the same facts.
 func (s BitSet) Equal(o BitSet) bool {
@@ -134,17 +117,6 @@ func (s BitSet) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// ForEach visits set facts in ascending order.
-func (s BitSet) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*64 + b)
-			w &= w - 1
-		}
-	}
 }
 
 // Problem is one dataflow problem instance over a function's CFG.

@@ -105,36 +105,6 @@ func main {
 	}
 }
 
-func TestReachingDefsJoin(t *testing.T) {
-	m := parse(t, diamond)
-	f := fn(t, m, "main")
-	rd := dataflow.ComputeReachingDefs(f)
-	idx := blockIndex(f)
-
-	// Both definitions of r2 reach the join's entry.
-	var reach []dataflow.DefSite
-	rd.In[idx["join"]].ForEach(func(i int) {
-		if rd.Defs[i].Reg == 2 {
-			reach = append(reach, rd.Defs[i])
-		}
-	})
-	if len(reach) != 2 {
-		t.Fatalf("defs of r2 reaching join = %v, want 2", reach)
-	}
-	// The entry's def of r1 reaches everywhere (never killed).
-	for bi := range f.Blocks {
-		found := false
-		rd.Out[bi].ForEach(func(i int) {
-			if rd.Defs[i].Reg == 1 {
-				found = true
-			}
-		})
-		if !found {
-			t.Errorf("def of r1 does not reach out of block %d", bi)
-		}
-	}
-}
-
 func TestUseBeforeDef(t *testing.T) {
 	m := parse(t, `
 module ubd
@@ -164,52 +134,6 @@ func main {
 	// The diamond assigns r2 on both arms: definitely-assigned, no findings.
 	if got := dataflow.UseBeforeDef(fn(t, parse(t, diamond), "main")); len(got) != 0 {
 		t.Fatalf("diamond UseBeforeDef = %v, want none", got)
-	}
-}
-
-// loopSrc: r1 is defined before the loop and only read inside it; r2 is
-// recomputed every iteration.
-const loopSrc = `
-module loopy
-entry main
-global buf 1048576
-func main {
-  entry:
-    r1 = const 42
-    r2 = const 8
-    jump %loop
-  loop:
-    r3 = load buf[seq stride=64]
-    r4 = add r3, r1
-    r2 = sub r2, 1
-    store r4, buf[seq stride=64]
-    br r2 gt 0, %loop, %done
-  done:
-    ret
-}
-`
-
-func TestLoopInvariantUses(t *testing.T) {
-	m := parse(t, loopSrc)
-	f := fn(t, m, "main")
-	lf := ir.BuildLoopForest(f)
-	rd := dataflow.ComputeReachingDefs(f)
-	idx := blockIndex(f)
-
-	invariant := map[ir.Reg]bool{}
-	for _, u := range dataflow.LoopInvariantUses(f, lf, rd) {
-		if u.Block == idx["loop"] {
-			invariant[u.Reg] = true
-		}
-	}
-	if !invariant[1] {
-		t.Error("r1 (defined before the loop) not reported invariant")
-	}
-	if invariant[2] {
-		t.Error("r2 (redefined every iteration) reported invariant")
-	}
-	if invariant[3] {
-		t.Error("r3 (loaded every iteration) reported invariant")
 	}
 }
 

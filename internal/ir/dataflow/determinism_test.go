@@ -19,32 +19,24 @@ func factFingerprint(f *ir.Function) string {
 	lv := dataflow.ComputeLiveness(f)
 	for bi, b := range f.Blocks {
 		var in, out []int
-		lv.In[bi].ForEach(func(r int) { in = append(in, r) })
-		lv.Out[bi].ForEach(func(r int) { out = append(out, r) })
+		for r := 0; r < lv.NumRegs; r++ {
+			if lv.In[bi].Has(r) {
+				in = append(in, r)
+			}
+			if lv.Out[bi].Has(r) {
+				out = append(out, r)
+			}
+		}
 		lines = append(lines, fmt.Sprintf("live %s in=%v out=%v", b.Name, in, out))
 	}
 	for _, d := range lv.DeadDefs() {
 		lines = append(lines, fmt.Sprintf("dead %s #%d", f.Blocks[d.Block].Name, d.Instr))
 	}
-	rd := dataflow.ComputeReachingDefs(f)
-	for bi, b := range f.Blocks {
-		var in []string
-		rd.In[bi].ForEach(func(i int) {
-			d := rd.Defs[i]
-			in = append(in, fmt.Sprintf("%s#%d:r%d", f.Blocks[d.Block].Name, d.Instr, d.Reg))
-		})
-		sort.Strings(in)
-		lines = append(lines, fmt.Sprintf("reach %s in=%v", b.Name, in))
-	}
 	for _, u := range dataflow.UseBeforeDef(f) {
 		lines = append(lines, fmt.Sprintf("ubd %s #%d r%d", f.Blocks[u.Block].Name, u.Instr, u.Reg))
 	}
-	lf := ir.BuildLoopForest(f)
-	for _, u := range dataflow.LoopInvariantUses(f, ir.BuildLoopForest(f), rd) {
-		lines = append(lines, fmt.Sprintf("inv %s #%d r%d", f.Blocks[u.Block].Name, u.Instr, u.Reg))
-	}
 	var invLoads []int
-	for id := range dataflow.InvariantAddressLoads(f, lf) {
+	for id := range dataflow.InvariantAddressLoads(f, ir.BuildLoopForest(f)) {
 		invLoads = append(invLoads, id)
 	}
 	sort.Ints(invLoads)

@@ -322,14 +322,6 @@ type Function struct {
 	MaxReg int
 }
 
-// Entry returns the entry block, or nil for an empty function.
-func (f *Function) Entry() *Block {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	return f.Blocks[0]
-}
-
 // Global is a named data region of Size bytes.
 type Global struct {
 	Name string
@@ -356,16 +348,6 @@ func (m *Module) Func(name string) *Function {
 	for _, f := range m.Funcs {
 		if f.Name == name {
 			return f
-		}
-	}
-	return nil
-}
-
-// Global returns the global with the given name, or nil.
-func (m *Module) Global(name string) *Global {
-	for _, g := range m.Globals {
-		if g.Name == name {
-			return g
 		}
 	}
 	return nil

@@ -260,16 +260,6 @@ func (p *Program) FuncAt(pc int) (FuncInfo, bool) {
 	return FuncInfo{}, false
 }
 
-// EVTSlotFor returns the EVT slot index dispatching to callee, or -1.
-func (p *Program) EVTSlotFor(callee string) int {
-	for i, e := range p.EVT {
-		if e.Callee == callee {
-			return i
-		}
-	}
-	return -1
-}
-
 // CountVirtualizedCalls reports how many static call sites go through the
 // EVT versus directly.
 func (p *Program) CountVirtualizedCalls() (virtualized, direct int) {

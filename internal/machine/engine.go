@@ -17,8 +17,6 @@ import "fmt"
 // (and, by the paper's contract, even during) quanta, and a redirect must
 // take effect at the very next virtualized call.
 type Engine interface {
-	// Name identifies the engine (EngineInterp or EngineSuperblock).
-	Name() string
 	// RunUntil advances the process's local cycle clock to the global
 	// quantum boundary, executing instructions, naps, forced sleeps,
 	// stolen cycles and gated idling exactly as the interpreter does.

@@ -7,8 +7,6 @@ package machine
 // invalidate.
 type interpEngine struct{ p *Process }
 
-func (e *interpEngine) Name() string { return EngineInterp }
-
 // CodeInstalled is a no-op: the interpreter reads the live code image on
 // every step, so a grown image needs no invalidation.
 func (e *interpEngine) CodeInstalled(int) {}

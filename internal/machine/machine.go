@@ -133,10 +133,6 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Telemetry returns the registry this machine reports into (nil when
-// uninstrumented). Subsystems attached to the machine share it.
-func (m *Machine) Telemetry() *telemetry.Registry { return m.tel }
-
 // Config returns the effective configuration.
 func (m *Machine) Config() Config { return m.cfg }
 

@@ -232,9 +232,6 @@ func (p *Process) EVT() *progbin.LiveEVT { return p.evt }
 // Counters returns a snapshot of the process's counters.
 func (p *Process) Counters() Counters { return p.ctr }
 
-// Engine returns the name of the execution engine driving this process.
-func (p *Process) Engine() string { return p.eng.Name() }
-
 // Halted reports whether the program exited (only when Restart is false).
 func (p *Process) Halted() bool { return p.halted }
 

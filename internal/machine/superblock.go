@@ -143,8 +143,6 @@ func newSuperblockEngine(p *Process) Engine {
 	return e
 }
 
-func (e *sbEngine) Name() string { return EngineSuperblock }
-
 // CodeInstalled re-decodes the grown image. Superblocks are keyed by PC
 // and code only ever grows upward, but the old tail instruction's decoding
 // can change once it has a successor (prefetch/load pairing), so the

@@ -1,9 +1,12 @@
 package pcc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/isa"
+	"repro/internal/progbin"
 )
 
 func buildModule(t *testing.T) *ir.Module {
@@ -72,7 +75,7 @@ func TestCompileProteanDefaultPolicy(t *testing.T) {
 	if s.EVTSlots != 1 {
 		t.Errorf("EVTSlots = %d, want 1", s.EVTSlots)
 	}
-	if b.Program.EVTSlotFor("multi") < 0 {
+	if !hasEVTSlot(b, "multi") {
 		t.Error("multi not virtualized")
 	}
 	if s.VirtualizedCalls != 1 || s.DirectCalls != 1 {
@@ -92,7 +95,7 @@ func TestCompileAllCallsPolicy(t *testing.T) {
 	if s.VirtualizedCalls != 2 || s.DirectCalls != 0 {
 		t.Errorf("AllCalls: virtualized=%d direct=%d, want 2/0", s.VirtualizedCalls, s.DirectCalls)
 	}
-	if b.Program.EVTSlotFor("single") < 0 {
+	if !hasEVTSlot(b, "single") {
 		t.Error("AllCalls should virtualize single-block callees too")
 	}
 }
@@ -185,4 +188,9 @@ func TestCompileOptimize(t *testing.T) {
 		t.Errorf("optimized code %d words, unoptimized %d: expected shrink",
 			len(binO.Program.Code), len(bin.Program.Code))
 	}
+}
+
+// hasEVTSlot reports whether b's EVT has a slot dispatching to callee.
+func hasEVTSlot(b *progbin.Binary, callee string) bool {
+	return slices.ContainsFunc(b.Program.EVT, func(e isa.EVTEntry) bool { return e.Callee == callee })
 }

@@ -93,7 +93,6 @@ const threshold = 0.35
 type Detector struct {
 	current  Signature
 	hasPhase bool
-	changes  int
 }
 
 // NewDetector builds a detector.
@@ -105,30 +104,16 @@ func (d *Detector) Observe(sig Signature) bool {
 	if !d.hasPhase {
 		d.current = sig
 		d.hasPhase = true
-		d.changes++
 		return true
 	}
 	if Distance(d.current, sig) > threshold {
 		d.current = sig
-		d.changes++
 		return true
 	}
 	// Drift the current signature toward the observation so slow trends
 	// do not eventually trip the detector spuriously.
 	d.current = blend(d.current, sig, 0.3)
 	return false
-}
-
-// Current returns the representative signature of the current phase.
-func (d *Detector) Current() (Signature, bool) { return d.current, d.hasPhase }
-
-// Changes counts phase starts observed so far (including the first).
-func (d *Detector) Changes() int { return d.changes }
-
-// Reset forgets the current phase.
-func (d *Detector) Reset() {
-	d.current = Signature{}
-	d.hasPhase = false
 }
 
 func blend(a, b Signature, w float64) Signature {
@@ -146,7 +131,6 @@ func blend(a, b Signature, w float64) Signature {
 // a change in any member is a co-phase change.
 type CoPhase struct {
 	detectors map[string]*Detector
-	changes   int
 }
 
 // NewCoPhase builds an empty co-phase tracker.
@@ -162,16 +146,5 @@ func (c *CoPhase) Observe(name string, sig Signature) bool {
 		d = NewDetector()
 		c.detectors[name] = d
 	}
-	if d.Observe(sig) {
-		c.changes++
-		return true
-	}
-	return false
+	return d.Observe(sig)
 }
-
-// Changes counts co-phase changes.
-func (c *CoPhase) Changes() int { return c.changes }
-
-// Forget drops a program (it stopped) — the next observation under the
-// same name is a co-phase change again.
-func (c *CoPhase) Forget(name string) { delete(c.detectors, name) }

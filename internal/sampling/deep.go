@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // FuncProfile is one function's sample breakdown inside a DeepProfile.
@@ -80,26 +79,10 @@ func (d *DeepProfile) Flat() Profile {
 	return out
 }
 
-// FuncSamples returns fn's total sample count.
-func (d *DeepProfile) FuncSamples(fn string) uint64 {
-	if f := d.Funcs[fn]; f != nil {
-		return f.Samples
-	}
-	return 0
-}
-
 // BlockSamples returns the sample count of one basic block.
 func (d *DeepProfile) BlockSamples(fn, block string) uint64 {
 	if f := d.Funcs[fn]; f != nil {
 		return f.Blocks[block]
-	}
-	return 0
-}
-
-// SiteSamples returns the samples that landed on load site loadID in fn.
-func (d *DeepProfile) SiteSamples(fn string, loadID int) uint64 {
-	if f := d.Funcs[fn]; f != nil {
-		return f.Sites[loadID]
 	}
 	return 0
 }
@@ -198,13 +181,6 @@ func (d *DeepProfile) WriteFolded(w io.Writer, app string) error {
 		}
 	}
 	return nil
-}
-
-// FoldedStacks returns the folded-stack export as a string.
-func (d *DeepProfile) FoldedStacks(app string) string {
-	var sb strings.Builder
-	_ = d.WriteFolded(&sb, app) // strings.Builder never errors
-	return sb.String()
 }
 
 // WritePprofRaw emits the profile as `pprof -raw`-style text: a Samples

@@ -25,10 +25,10 @@ func TestDeepProfileAccounting(t *testing.T) {
 	if d.Total() != 105 {
 		t.Errorf("Total = %d, want 105", d.Total())
 	}
-	if d.FuncSamples("heavy") != 100 || d.BlockSamples("heavy", "loop_body") != 70 {
+	if d.Funcs["heavy"].Samples != 100 || d.BlockSamples("heavy", "loop_body") != 70 {
 		t.Error("per-function/per-block counts wrong")
 	}
-	if d.SiteSamples("heavy", 0) != 70 || d.SiteSamples("light", 3) != 5 {
+	if d.Funcs["heavy"].Sites[0] != 70 || d.Funcs["light"].Sites[3] != 5 {
 		t.Error("per-site counts wrong")
 	}
 	flat := d.Flat()
@@ -61,7 +61,7 @@ func TestDeepProfileCloneAndMerge(t *testing.T) {
 
 func TestProfileDeepLift(t *testing.T) {
 	d := Profile{"a": 7, "b": 3}.Deep()
-	if d.Total() != 10 || d.FuncSamples("a") != 7 {
+	if d.Total() != 10 || d.Funcs["a"].Samples != 7 {
 		t.Error("lift lost counts")
 	}
 	if len(d.Funcs["a"].Blocks) != 0 || len(d.Funcs["a"].Sites) != 0 {
@@ -73,9 +73,16 @@ func TestProfileDeepLift(t *testing.T) {
 // or more ;-separated non-empty frames, a single space, a positive count.
 var foldedLine = regexp.MustCompile(`^[^; ]+(;[^; ]+)* \d+$`)
 
+// folded renders WriteFolded to a string.
+func folded(d *DeepProfile, app string) string {
+	var sb strings.Builder
+	_ = d.WriteFolded(&sb, app) // strings.Builder never errors
+	return sb.String()
+}
+
 func TestFoldedStacksSpeedscopeShape(t *testing.T) {
 	d := buildDeep()
-	out := d.FoldedStacks("app")
+	out := folded(d, "app")
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("lines = %d, want 4:\n%s", len(lines), out)
@@ -104,7 +111,7 @@ func TestFoldedStacksSpeedscopeShape(t *testing.T) {
 		t.Errorf("folded output:\n%s\nwant:\n%s", out, want)
 	}
 	// Empty app drops the leading frame.
-	if !strings.HasPrefix(d.FoldedStacks(""), "heavy;loop_body 70\n") {
+	if !strings.HasPrefix(folded(d, ""), "heavy;loop_body 70\n") {
 		t.Error("empty app still prefixed")
 	}
 }
@@ -154,8 +161,9 @@ func TestSamplerBlockAttribution(t *testing.T) {
 	m.RunQuanta(2000)
 
 	deep := s.DeepLifetime()
-	if deep.Total() != s.Samples() {
-		t.Errorf("deep total %d != samples taken %d", deep.Total(), s.Samples())
+	// The window was never reset, so it counts every sample taken.
+	if taken := s.Window().Total(); deep.Total() != taken {
+		t.Errorf("deep total %d != samples taken %d", deep.Total(), taken)
 	}
 	hf := deep.Funcs["heavy"]
 	if hf == nil || len(hf.Blocks) == 0 {

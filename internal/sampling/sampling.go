@@ -79,7 +79,6 @@ type PCSampler struct {
 	next     uint64
 	window   Profile
 	deep     *DeepProfile
-	samples  uint64
 }
 
 // NewPCSampler samples proc every intervalCycles.
@@ -106,13 +105,9 @@ func (s *PCSampler) Tick(m *machine.Machine) {
 			continue
 		}
 		s.window[smp.Func]++
-		s.samples++
 		s.deep.Add(smp.Func, smp.Block, smp.LoadID, 1)
 	}
 }
-
-// Samples counts all samples taken.
-func (s *PCSampler) Samples() uint64 { return s.samples }
 
 // Window returns the profile accumulated since the last ResetWindow.
 func (s *PCSampler) Window() Profile { return s.window.Clone() }
@@ -201,13 +196,5 @@ func (mt *Meter) Read(m *machine.Machine) Reading {
 	if dAcc > 0 {
 		r.LLCMissRate = float64(dMiss) / float64(dAcc)
 	}
-	return r
-}
-
-// Peek returns rates since the previous Read without consuming the window.
-func (mt *Meter) Peek(m *machine.Machine) Reading {
-	saveLast, saveLLC, saveAcc, saveNow, saveStarted := mt.last, mt.lastLLC, mt.lastAcc, mt.lastNow, mt.started
-	r := mt.Read(m)
-	mt.last, mt.lastLLC, mt.lastAcc, mt.lastNow, mt.started = saveLast, saveLLC, saveAcc, saveNow, saveStarted
 	return r
 }

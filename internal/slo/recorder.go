@@ -30,13 +30,10 @@ type Bundle struct {
 // WriteJSON renders the bundle as one deterministic JSON document. Section
 // bodies are embedded raw, in capture order.
 func (b *Bundle) WriteJSON(w io.Writer) error {
-	if b == nil {
-		return nil
-	}
 	var sb strings.Builder
 	sb.WriteString("{\n")
 	fmt.Fprintf(&sb, `  "seq": %d,`+"\n", b.Seq)
-	fmt.Fprintf(&sb, `  "reason": %q,`+"\n", b.Reason)
+	fmt.Fprintf(&sb, `  "reason": %s,`+"\n", telemetry.JSONString(b.Reason))
 	fmt.Fprintf(&sb, `  "epoch": %d,`+"\n", b.Epoch)
 	fmt.Fprintf(&sb, `  "t_seconds": %s,`+"\n", telemetry.FormatFloat(b.T))
 	sb.WriteString(`  "sections": {`)
@@ -44,7 +41,7 @@ func (b *Bundle) WriteJSON(w io.Writer) error {
 		if i > 0 {
 			sb.WriteString(",")
 		}
-		fmt.Fprintf(&sb, "\n  %q: ", s.Name)
+		fmt.Fprintf(&sb, "\n  %s: ", telemetry.JSONString(s.Name))
 		sb.WriteString(strings.TrimRight(s.JSON, "\n"))
 	}
 	sb.WriteString("\n  }\n}\n")
@@ -70,7 +67,6 @@ type Recorder struct {
 	cap     int
 	bundles []*Bundle
 	seq     int
-	dropped int
 }
 
 // NewRecorder builds a recorder holding at most cap bundles (0 → default).
@@ -81,15 +77,10 @@ func NewRecorder(cap int) *Recorder {
 	return &Recorder{cap: cap}
 }
 
-// Capture freezes one bundle. Returns nil when the recorder is full (the
-// drop is counted) or nil itself.
+// Capture freezes one bundle. Returns nil when the recorder is full.
 func (r *Recorder) Capture(reason string, epoch int, t float64, sections []Section) *Bundle {
-	if r == nil {
-		return nil
-	}
 	r.seq++
 	if len(r.bundles) >= r.cap {
-		r.dropped++
 		return nil
 	}
 	b := &Bundle{Seq: r.seq, Reason: reason, Epoch: epoch, T: t, Sections: sections}
@@ -99,16 +90,5 @@ func (r *Recorder) Capture(reason string, epoch int, t float64, sections []Secti
 
 // Bundles returns the captured bundles in capture order.
 func (r *Recorder) Bundles() []*Bundle {
-	if r == nil {
-		return nil
-	}
 	return append([]*Bundle(nil), r.bundles...)
-}
-
-// Dropped reports how many captures the bound discarded.
-func (r *Recorder) Dropped() int {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
 }

@@ -177,9 +177,6 @@ func (e *Engine) burnRate(s Spec, epoch, window int) (float64, bool) {
 // returns the transitions that occurred, in spec order. Call once per
 // epoch, in epoch order.
 func (e *Engine) Evaluate(epoch int, t float64) []Transition {
-	if e == nil {
-		return nil
-	}
 	e.lastEpoch, e.lastT = epoch, t
 	var out []Transition
 	emit := func(i int, from, to, sev string, burn float64, rule int) {
@@ -251,9 +248,6 @@ func (e *Engine) Evaluate(epoch int, t float64) []Transition {
 
 // Firing reports whether the named spec is currently firing.
 func (e *Engine) Firing(name string) bool {
-	if e == nil {
-		return false
-	}
 	for i, s := range e.specs {
 		if s.Name == name {
 			return e.states[i].state == Firing
@@ -262,24 +256,8 @@ func (e *Engine) Firing(name string) bool {
 	return false
 }
 
-// AnyFiring reports whether any spec is firing.
-func (e *Engine) AnyFiring() bool {
-	if e == nil {
-		return false
-	}
-	for i := range e.states {
-		if e.states[i].state == Firing {
-			return true
-		}
-	}
-	return false
-}
-
 // Fired returns the lifetime count of firing edges across all specs.
 func (e *Engine) Fired() int {
-	if e == nil {
-		return 0
-	}
 	n := 0
 	for i := range e.states {
 		n += e.states[i].fired
@@ -287,19 +265,8 @@ func (e *Engine) Fired() int {
 	return n
 }
 
-// Resolved returns the lifetime count of resolved edges.
-func (e *Engine) Resolved() int {
-	if e == nil {
-		return 0
-	}
-	return e.resolved
-}
-
 // Log returns the full transition log in evaluation order.
 func (e *Engine) Log() AlertLog {
-	if e == nil {
-		return AlertLog{}
-	}
 	return AlertLog{Transitions: append([]Transition(nil), e.log...),
 		Fired: e.Fired(), Resolved: e.resolved}
 }
@@ -323,9 +290,10 @@ func (l AlertLog) WriteJSON(w io.Writer) error {
 		if i > 0 {
 			b.WriteString(",")
 		}
-		fmt.Fprintf(&b, "\n    {\"epoch\": %d, \"t_seconds\": %s, \"spec\": %q, \"from\": %q, \"to\": %q, \"severity\": %q, \"burn\": %s, \"rule\": %d}",
-			tr.Epoch, telemetry.FormatFloat(tr.T), tr.Spec, tr.From, tr.To,
-			tr.Severity, telemetry.FormatFloat(tr.Burn), tr.Rule)
+		fmt.Fprintf(&b, "\n    {\"epoch\": %d, \"t_seconds\": %s, \"spec\": %s, \"from\": %s, \"to\": %s, \"severity\": %s, \"burn\": %s, \"rule\": %d}",
+			tr.Epoch, telemetry.FormatFloat(tr.T), telemetry.JSONString(tr.Spec),
+			telemetry.JSONString(tr.From), telemetry.JSONString(tr.To),
+			telemetry.JSONString(tr.Severity), telemetry.FormatFloat(tr.Burn), tr.Rule)
 	}
 	b.WriteString("\n  ]\n}\n")
 	_, err := io.WriteString(w, b.String())
@@ -344,11 +312,6 @@ func (l AlertLog) JSON() string {
 func (e *Engine) WriteStatusJSON(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("{\n")
-	if e == nil {
-		b.WriteString("  \"epoch\": 0,\n  \"specs\": []\n}\n")
-		_, err := io.WriteString(w, b.String())
-		return err
-	}
 	fmt.Fprintf(&b, `  "epoch": %d,`+"\n", e.lastEpoch)
 	fmt.Fprintf(&b, `  "t_seconds": %s,`+"\n", telemetry.FormatFloat(e.lastT))
 	b.WriteString(`  "specs": [`)
@@ -357,8 +320,8 @@ func (e *Engine) WriteStatusJSON(w io.Writer) error {
 		if i > 0 {
 			b.WriteString(",")
 		}
-		fmt.Fprintf(&b, "\n    {\"name\": %q, \"objective\": %s, \"state\": %q, \"since_epoch\": %d, \"burn\": %s, \"fired\": %d}",
-			s.Name, telemetry.FormatFloat(s.Objective), st.state.String(),
+		fmt.Fprintf(&b, "\n    {\"name\": %s, \"objective\": %s, \"state\": %s, \"since_epoch\": %d, \"burn\": %s, \"fired\": %d}",
+			telemetry.JSONString(s.Name), telemetry.FormatFloat(s.Objective), telemetry.JSONString(st.state.String()),
 			st.sinceEpoch, telemetry.FormatFloat(st.lastBurn), st.fired)
 	}
 	b.WriteString("\n  ]\n}\n")

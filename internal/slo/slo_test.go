@@ -1,6 +1,8 @@
 package slo
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,8 +57,8 @@ func TestBurnRateLifecycle(t *testing.T) {
 	if trs[1].To != "firing" || trs[1].Epoch != 5 || trs[1].Severity != "page" {
 		t.Errorf("firing edge = %+v", trs[1])
 	}
-	if e.Fired() != 1 || e.Resolved() != 1 || e.AnyFiring() {
-		t.Errorf("fired=%d resolved=%d firing=%v", e.Fired(), e.Resolved(), e.AnyFiring())
+	if l := e.Log(); l.Fired != 1 || l.Resolved != 1 || e.Firing("qos") {
+		t.Errorf("fired=%d resolved=%d firing=%v", l.Fired, l.Resolved, e.Firing("qos"))
 	}
 }
 
@@ -172,39 +174,42 @@ func TestExportsDeterministic(t *testing.T) {
 	if !strings.Contains(a.StatusJSON(), `"name": "qos"`) {
 		t.Errorf("status missing spec:\n%s", a.StatusJSON())
 	}
-	var nilEng *Engine
-	if nilEng.Evaluate(1, 1) != nil || nilEng.AnyFiring() || nilEng.Fired() != 0 {
-		t.Error("nil engine not inert")
-	}
-	if !strings.Contains(nilEng.StatusJSON(), `"specs": []`) {
-		t.Error("nil engine status malformed")
+}
+
+// TestExportsSurviveAParser: a spec name or capture reason carrying a
+// control byte still renders JSON that encoding/json accepts.
+func TestExportsSurviveAParser(t *testing.T) {
+	name := "qos\x01\x7f"
+	spec := Spec{Name: name, Good: "good", Total: "total", Objective: 0.9,
+		Rules: []BurnRule{{LongEpochs: 2, ShortEpochs: 1, Burn: 2, Severity: "page"}}}
+	e, _ := run(feed([]float64{0, 0.5, 0.5, 0.5}), spec, 4)
+	rec := NewRecorder(1)
+	b := rec.Capture("alert:"+name, 4, 2, []Section{{Name: name, JSON: e.StatusJSON()}})
+	for what, doc := range map[string]string{"status": e.StatusJSON(), "alert log": e.Log().JSON(), "bundle": b.JSON()} {
+		var v any
+		if err := json.Unmarshal([]byte(doc), &v); err != nil {
+			t.Errorf("%s does not parse: %v\n%s", what, err, doc)
+		} else if !strings.Contains(fmt.Sprint(v), name) {
+			t.Errorf("%s lost the name %q:\n%s", what, name, doc)
+		}
 	}
 }
 
 func TestRecorderBoundedDropNewest(t *testing.T) {
 	rec := NewRecorder(2)
 	for i := 1; i <= 4; i++ {
-		rec.Capture("alert:qos", i, float64(i), []Section{{Name: "x", JSON: "{}"}})
+		if b := rec.Capture("alert:qos", i, float64(i), []Section{{Name: "x", JSON: "{}"}}); (b == nil) != (i > 2) {
+			t.Errorf("capture %d returned %+v; only captures past the bound drop", i, b)
+		}
 	}
 	bs := rec.Bundles()
 	if len(bs) != 2 || bs[0].Seq != 1 || bs[1].Seq != 2 {
 		t.Fatalf("bundles = %+v, want seqs 1,2", bs)
-	}
-	if rec.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", rec.Dropped())
 	}
 	out := bs[0].JSON()
 	for _, want := range []string{`"seq": 1`, `"reason": "alert:qos"`, `"x": {}`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("bundle missing %q:\n%s", want, out)
 		}
-	}
-	var nilRec *Recorder
-	if nilRec.Capture("r", 1, 1, nil) != nil || nilRec.Bundles() != nil || nilRec.Dropped() != 0 {
-		t.Error("nil recorder not inert")
-	}
-	var nilB *Bundle
-	if nilB.JSON() != "" {
-		t.Error("nil bundle rendered")
 	}
 }

@@ -300,16 +300,16 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	}
 	for _, s := range r.Spans() {
 		var b strings.Builder
-		fmt.Fprintf(&b, `{"name":"%s","cat":"%s","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"id":%d,"parent":%d`,
-			jsonEscape(s.Name), jsonEscape(spanCat(s.Name)), s.Start, s.Duration(), s.Server, rootOf(s.ID), s.ID, s.Parent)
+		fmt.Fprintf(&b, `{"name":%s,"cat":%s,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"id":%d,"parent":%d`,
+			JSONString(s.Name), JSONString(spanCat(s.Name)), s.Start, s.Duration(), s.Server, rootOf(s.ID), s.ID, s.Parent)
 		if s.End == 0 {
 			b.WriteString(`,"open":1`)
 		}
 		for _, a := range s.Attrs {
 			if a.IsNum {
-				fmt.Fprintf(&b, `,"%s":%s`, jsonEscape(a.Key), fmtFloat(a.Num))
+				fmt.Fprintf(&b, `,%s:%s`, JSONString(a.Key), fmtFloat(a.Num))
 			} else {
-				fmt.Fprintf(&b, `,"%s":"%s"`, jsonEscape(a.Key), jsonEscape(a.Str))
+				fmt.Fprintf(&b, `,%s:%s`, JSONString(a.Key), JSONString(a.Str))
 			}
 		}
 		b.WriteString("}}")
@@ -319,16 +319,16 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	}
 	for _, e := range r.Events() {
 		var b strings.Builder
-		fmt.Fprintf(&b, `{"name":"%s","cat":"event","ph":"i","s":"p","ts":%d,"pid":%d,"tid":0,"args":{"core":%d`,
-			jsonEscape(string(e.Kind)), e.At, e.Server, e.Core)
+		fmt.Fprintf(&b, `{"name":%s,"cat":"event","ph":"i","s":"p","ts":%d,"pid":%d,"tid":0,"args":{"core":%d`,
+			JSONString(e.Kind), e.At, e.Server, e.Core)
 		if e.Func != "" {
-			fmt.Fprintf(&b, `,"func":"%s"`, jsonEscape(e.Func))
+			fmt.Fprintf(&b, `,"func":%s`, JSONString(e.Func))
 		}
 		if e.Value != 0 {
 			fmt.Fprintf(&b, `,"value":%s`, fmtFloat(e.Value))
 		}
 		if e.Detail != "" {
-			fmt.Fprintf(&b, `,"detail":"%s"`, jsonEscape(e.Detail))
+			fmt.Fprintf(&b, `,"detail":%s`, JSONString(e.Detail))
 		}
 		b.WriteString("}}")
 		if err := emit(b.String()); err != nil {
@@ -337,14 +337,4 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "\n]}\n")
 	return err
-}
-
-// ChromeTraceJSON renders WriteChromeTrace to a string ("" on nil).
-func (r *Registry) ChromeTraceJSON() string {
-	if r == nil {
-		return ""
-	}
-	var b strings.Builder
-	r.WriteChromeTrace(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
 }

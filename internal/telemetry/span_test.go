@@ -31,7 +31,7 @@ func TestSpanIDsSequentialAndDeterministic(t *testing.T) {
 	if as[1].Duration() != 40 {
 		t.Errorf("child duration = %d, want 40", as[1].Duration())
 	}
-	if a.ChromeTraceJSON() != b.ChromeTraceJSON() {
+	if render(a.WriteChromeTrace) != render(b.WriteChromeTrace) {
 		t.Error("identical span trees exported different Chrome JSON")
 	}
 }
@@ -114,7 +114,7 @@ func TestSpanMergeRemapDeterministic(t *testing.T) {
 		return agg
 	}
 	a, b := merge(), merge()
-	if a.ChromeTraceJSON() != b.ChromeTraceJSON() {
+	if render(a.WriteChromeTrace) != render(b.WriteChromeTrace) {
 		t.Fatal("identical merges exported different Chrome JSON")
 	}
 	sp := a.Spans()
@@ -171,7 +171,7 @@ func TestChromeTraceShape(t *testing.T) {
 	r.EndSpan(kid, 150)
 	// root left open on purpose.
 	r.Emit(Event{At: 120, Kind: EvDispatch, Core: 2, Func: "hot"})
-	out := r.ChromeTraceJSON()
+	out := render(r.WriteChromeTrace)
 	if !strings.HasPrefix(out, `{"traceEvents":[`) || !strings.HasSuffix(out, "\n]}\n") {
 		t.Fatalf("not a trace-event envelope:\n%s", out)
 	}
@@ -202,7 +202,7 @@ func TestRegistryCloneIsDeep(t *testing.T) {
 	sp := r.StartSpan("pc3d.search", 1, 0)
 	r.SpanAttrs(sp, Str("k", "v"))
 	cl := r.Clone()
-	before := cl.PrometheusText() + cl.JSONL() + cl.ChromeTraceJSON()
+	before := cl.PrometheusText() + render(cl.WriteJSONL) + render(cl.WriteChromeTrace)
 	// Mutate the original in every store; the clone must not move.
 	r.Counter("core", "compiles_total", "h").Inc()
 	r.Gauge("pc3d", "nap_intensity", "h").Set(0.9)
@@ -210,7 +210,7 @@ func TestRegistryCloneIsDeep(t *testing.T) {
 	r.Emit(Event{At: 9, Kind: EvNap})
 	r.SpanAttrs(sp, Str("k2", "v2"))
 	r.EndSpan(sp, 77)
-	after := cl.PrometheusText() + cl.JSONL() + cl.ChromeTraceJSON()
+	after := cl.PrometheusText() + render(cl.WriteJSONL) + render(cl.WriteChromeTrace)
 	if before != after {
 		t.Error("mutating the original changed the clone")
 	}

@@ -125,22 +125,6 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // Quantile estimates the p-quantile (p clamped to [0,1]) by linear
 // interpolation within the bucket containing the target rank — the same
 // estimate Prometheus's histogram_quantile computes. Returns NaN for an

@@ -1,9 +1,20 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 )
+
+// render returns what one of the registry's writers writes.
+func render(write func(io.Writer) error) string {
+	var b strings.Builder
+	write(&b) //nolint:errcheck // strings.Builder never errors
+	return b.String()
+}
 
 // TestNilRegistryIsNoOp: a nil registry exports nothing, but its counters
 // still count for their owner — a counter is the one book for an activity
@@ -27,11 +38,11 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	h := r.Histogram("fleet", "server_qos", "", []float64{0.5, 1})
 	h.Observe(0.7)
-	if h.Count() != 0 || h.Sum() != 0 {
+	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Error("nil histogram accumulated")
 	}
 	r.Emit(Event{At: 1, Kind: EvDispatch})
-	if r.Events() != nil || r.PrometheusText() != "" || r.JSONL() != "" {
+	if r.Events() != nil || r.PrometheusText() != "" || render(r.WriteJSONL) != "" {
 		t.Error("nil registry produced output")
 	}
 	if r.CounterValue("core", "compiles_total") != 0 || r.GaugeValue("pc3d", "nap_intensity") != 0 {
@@ -158,7 +169,7 @@ func TestJSONLDeterministicAndEscaped(t *testing.T) {
 		r.Emit(Event{At: 10, Kind: EvDispatch, Core: 2, Func: "hot"})
 		return r
 	}
-	a, b := mk().JSONL(), mk().JSONL()
+	a, b := render(mk().WriteJSONL), render(mk().WriteJSONL)
 	if a != b {
 		t.Fatal("identical traces produced different JSONL")
 	}
@@ -230,14 +241,14 @@ func TestHistogramMergeClone(t *testing.T) {
 	a.Observe(1.5)
 	cl := a.Clone()
 	a.Observe(0.5)
-	if cl.Count() != 2 {
-		t.Errorf("clone count = %d, want 2 (deep copy)", cl.Count())
+	if cl.n != 2 {
+		t.Errorf("clone count = %d, want 2 (deep copy)", cl.n)
 	}
 	b := r.Histogram("x", "b", "", []float64{1, 2})
 	b.Observe(1.8)
 	cl.Merge(b)
-	if cl.Count() != 3 || cl.Sum() != 0.5+1.5+1.8 {
-		t.Errorf("merged count=%d sum=%v", cl.Count(), cl.Sum())
+	if cl.n != 3 || cl.sum != 0.5+1.5+1.8 {
+		t.Errorf("merged count=%d sum=%v", cl.n, cl.sum)
 	}
 	// Mismatched bounds fold into +Inf: the quantile collapses to the top
 	// finite bound once most mass sits in the overflow bucket.
@@ -246,8 +257,8 @@ func TestHistogramMergeClone(t *testing.T) {
 	c.Observe(15)
 	c.Observe(25)
 	cl.Merge(c)
-	if cl.Count() != 6 {
-		t.Errorf("fold-merged count = %d, want 6", cl.Count())
+	if cl.n != 6 {
+		t.Errorf("fold-merged count = %d, want 6", cl.n)
 	}
 	if got := cl.Quantile(1); got != 2 {
 		t.Errorf("Quantile(1) after fold = %v, want 2 (overflow clamps to top bound)", got)
@@ -303,5 +314,27 @@ func TestEventsTail(t *testing.T) {
 	var nilr *Registry
 	if nilr.EventsTail(3) != nil {
 		t.Error("nil registry produced a tail")
+	}
+}
+
+// TestJSONStringSurvivesAParser: control bytes and invalid UTF-8 — which
+// Go's %q renders as \x escapes no JSON parser accepts — round-trip through
+// encoding/json, and printable ASCII renders exactly as %q renders it.
+func TestJSONStringSurvivesAParser(t *testing.T) {
+	for _, s := range []string{"", "plain", `q"b\s`, "\x01ctl\x1f", "nl\n\ttab\r", "bad\xffutf8\xfe", "é✓\uFFFD"} {
+		quoted := fmt.Sprint(JSONString(s))
+		var got string
+		if err := json.Unmarshal([]byte(quoted), &got); err != nil {
+			t.Errorf("JSONString(%q) = %s: %v", s, quoted, err)
+			continue
+		}
+		if want := strings.ToValidUTF8(s, "\uFFFD"); got != want {
+			t.Errorf("JSONString(%q) decoded to %q, want %q", s, got, want)
+		}
+	}
+	for c := byte(0x20); c < 0x7f; c++ {
+		if s := "a" + string(c) + "b"; fmt.Sprint(JSONString(s)) != fmt.Sprintf("%q", s) {
+			t.Errorf("JSONString(%q) = %v, %%q gives %q", s, JSONString(s), s)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // EventKind names one entry of the event taxonomy (DESIGN.md §7). Kinds are
@@ -171,31 +172,46 @@ func (r *Registry) DroppedEvents() uint64 {
 	return r.trace.dropped
 }
 
-// jsonEscape covers the characters that can appear in function names,
-// app names, and error strings (no reflection, deterministic output).
-func jsonEscape(s string) string {
-	var b strings.Builder
-	for _, c := range s {
-		switch c {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		default:
-			if c < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, c)
-			} else {
-				b.WriteRune(c)
-			}
+// JSONString formats under any verb as a JSON string literal, quotes
+// included: the one quoter every hand-built JSON export uses. Unlike %q it
+// never emits \x escapes — a control byte becomes \u00XX and invalid UTF-8
+// becomes U+FFFD — so any string survives a JSON parser; printable ASCII
+// renders exactly as %q renders it. It writes straight into the printer,
+// so quoting costs no allocation beyond the argument's own.
+type JSONString string
+
+// Format implements fmt.Formatter.
+func (s JSONString) Format(f fmt.State, _ rune) {
+	io.WriteString(f, `"`)
+	done := 0
+	for i := 0; i < len(s); {
+		c, size := utf8.DecodeRuneInString(string(s[i:]))
+		esc := ""
+		switch {
+		case c == '"':
+			esc = `\"`
+		case c == '\\':
+			esc = `\\`
+		case c == '\n':
+			esc = `\n`
+		case c == '\t':
+			esc = `\t`
+		case c == '\r':
+			esc = `\r`
+		case c < 0x20:
+			esc = fmt.Sprintf(`\u%04x`, c)
+		case c == utf8.RuneError && size == 1:
+			esc = string(utf8.RuneError)
 		}
+		if esc != "" {
+			io.WriteString(f, string(s[done:i]))
+			io.WriteString(f, esc)
+			done = i + size
+		}
+		i += size
 	}
-	return b.String()
+	io.WriteString(f, string(s[done:]))
+	io.WriteString(f, `"`)
 }
 
 // WriteJSONL writes the trace as one JSON object per line, in canonical
@@ -204,15 +220,15 @@ func jsonEscape(s string) string {
 func (r *Registry) WriteJSONL(w io.Writer) error {
 	for _, e := range r.Events() {
 		var b strings.Builder
-		fmt.Fprintf(&b, `{"at":%d,"kind":%q,"server":%d,"core":%d`, e.At, string(e.Kind), e.Server, e.Core)
+		fmt.Fprintf(&b, `{"at":%d,"kind":%s,"server":%d,"core":%d`, e.At, JSONString(e.Kind), e.Server, e.Core)
 		if e.Func != "" {
-			fmt.Fprintf(&b, `,"func":"%s"`, jsonEscape(e.Func))
+			fmt.Fprintf(&b, `,"func":%s`, JSONString(e.Func))
 		}
 		if e.Value != 0 {
 			fmt.Fprintf(&b, `,"value":%s`, fmtFloat(e.Value))
 		}
 		if e.Detail != "" {
-			fmt.Fprintf(&b, `,"detail":"%s"`, jsonEscape(e.Detail))
+			fmt.Fprintf(&b, `,"detail":%s`, JSONString(e.Detail))
 		}
 		b.WriteString("}\n")
 		if _, err := io.WriteString(w, b.String()); err != nil {
@@ -220,11 +236,4 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// JSONL renders WriteJSONL to a string ("" on nil).
-func (r *Registry) JSONL() string {
-	var b strings.Builder
-	r.WriteJSONL(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
 }

@@ -52,7 +52,6 @@ func (c Config) withDefaults() Config {
 type series struct {
 	pts   []Point
 	start int
-	drops uint64
 }
 
 func (s *series) push(cap int, p Point) {
@@ -62,7 +61,6 @@ func (s *series) push(cap int, p Point) {
 	}
 	s.pts[s.start] = p
 	s.start = (s.start + 1) % cap
-	s.drops++
 }
 
 // all returns the retained points oldest-first.
@@ -105,9 +103,6 @@ func New(cfg Config) *Store {
 // Observe appends one point to a series, creating it on first use. Callers
 // must observe in epoch order (the barrier does).
 func (d *Store) Observe(name string, p Point) {
-	if d == nil {
-		return
-	}
 	s := d.series[name]
 	if s == nil {
 		s = &series{}
@@ -132,9 +127,6 @@ func quantLabel(q float64) string {
 // the result is independent of worker interleaving. Histogram quantiles
 // with no observations (NaN) are skipped, deterministically.
 func (d *Store) Sample(epoch int, t float64, regs ...*telemetry.Registry) {
-	if d == nil {
-		return
-	}
 	counters := make(map[string]uint64)
 	gauges := make(map[string]float64)
 	hists := make(map[string]*telemetry.Histogram)
@@ -177,24 +169,18 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // Names returns all series names, sorted.
 func (d *Store) Names() []string {
-	if d == nil {
-		return nil
-	}
 	return sortedKeys(d.series)
 }
 
 // LastEpoch returns the newest epoch observed (0 before any sample).
 func (d *Store) LastEpoch() int {
-	if d == nil {
-		return 0
-	}
 	return d.lastEpoch
 }
 
 // Range returns the retained points of a series with from <= Epoch <= to,
 // oldest first.
 func (d *Store) Range(name string, from, to int) []Point {
-	if d == nil || d.series[name] == nil {
+	if d.series[name] == nil {
 		return nil
 	}
 	var out []Point
@@ -206,25 +192,13 @@ func (d *Store) Range(name string, from, to int) []Point {
 	return out
 }
 
-// Last returns the newest point of a series.
-func (d *Store) Last(name string) (Point, bool) {
-	if d == nil || d.series[name] == nil {
-		return Point{}, false
-	}
-	pts := d.series[name].all()
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	return pts[len(pts)-1], true
-}
-
 // Delta returns V(epoch) − V(epoch−window). A window start before the
 // series' first retained sample uses an implicit zero origin — exact for
 // cumulative counters sampled from the run's start (they begin at zero),
 // approximate only if the ring has already dropped points. Returns false
 // when the series has no point at the end epoch.
 func (d *Store) Delta(name string, epoch, window int) (float64, bool) {
-	if d == nil || d.series[name] == nil || window <= 0 {
+	if d.series[name] == nil || window <= 0 {
 		return 0, false
 	}
 	end, ok := d.series[name].at(epoch)
@@ -235,61 +209,6 @@ func (d *Store) Delta(name string, epoch, window int) (float64, bool) {
 		return end.V - start.V, true
 	}
 	return end.V, true
-}
-
-// Rate returns Delta over the window divided by the simulated seconds it
-// spans. The implicit-zero-origin case divides by the full time since t=0,
-// which is the true average rate for a counter born at the run's start.
-func (d *Store) Rate(name string, epoch, window int) (float64, bool) {
-	if d == nil || d.series[name] == nil || window <= 0 {
-		return 0, false
-	}
-	end, ok := d.series[name].at(epoch)
-	if !ok {
-		return 0, false
-	}
-	startV, startT := 0.0, 0.0
-	if start, ok := d.series[name].at(epoch - window); ok {
-		startV, startT = start.V, start.T
-	}
-	if end.T <= startT {
-		return 0, false
-	}
-	return (end.V - startV) / (end.T - startT), true
-}
-
-// Downsample folds a series into epoch-aligned buckets of factor epochs
-// (bucket k covers epochs k*factor+1 .. (k+1)*factor) and returns one point
-// per bucket: the bucket's last epoch/time and the mean of its values.
-// Alignment to absolute epoch numbers keeps the output independent of which
-// prefix of the series the ring retained.
-func (d *Store) Downsample(name string, factor int) []Point {
-	if d == nil || d.series[name] == nil || factor <= 0 {
-		return nil
-	}
-	var out []Point
-	var bucket int
-	var sum float64
-	var n int
-	var last Point
-	flush := func() {
-		if n > 0 {
-			out = append(out, Point{Epoch: last.Epoch, T: last.T, V: sum / float64(n)})
-		}
-		sum, n = 0, 0
-	}
-	for _, p := range d.series[name].all() {
-		b := (p.Epoch - 1) / factor
-		if n > 0 && b != bucket {
-			flush()
-		}
-		bucket = b
-		sum += p.V
-		n++
-		last = p
-	}
-	flush()
-	return out
 }
 
 // writePoints renders one series' points as a JSON array with fixed field
@@ -322,10 +241,6 @@ func (d *Store) WriteWindowJSON(w io.Writer, lastN int) error {
 }
 
 func (d *Store) writeJSON(w io.Writer, afterEpoch int) error {
-	if d == nil {
-		_, err := io.WriteString(w, "{\n  \"last_epoch\": 0,\n  \"last_t_seconds\": 0,\n  \"series\": {\n  }\n}\n")
-		return err
-	}
 	var b strings.Builder
 	b.WriteString("{\n")
 	fmt.Fprintf(&b, `  "last_epoch": %d,`+"\n", d.lastEpoch)
@@ -350,17 +265,10 @@ func (d *Store) writeJSON(w io.Writer, afterEpoch int) error {
 			b.WriteString(",")
 		}
 		first = false
-		fmt.Fprintf(&b, "\n    %q: ", name)
+		fmt.Fprintf(&b, "\n    %s: ", telemetry.JSONString(name))
 		writePoints(&b, pts)
 	}
 	b.WriteString("\n  }\n}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// JSON renders WriteJSON to a string.
-func (d *Store) JSON() string {
-	var b strings.Builder
-	d.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
 }

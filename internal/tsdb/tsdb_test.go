@@ -16,8 +16,8 @@ func TestRingDropsOldest(t *testing.T) {
 	if len(pts) != 3 || pts[0].Epoch != 3 || pts[2].Epoch != 5 {
 		t.Fatalf("retained = %+v, want epochs 3..5", pts)
 	}
-	if last, ok := d.Last("x"); !ok || last.V != 50 {
-		t.Errorf("Last = %+v, %v", last, ok)
+	if pts[2].V != 50 {
+		t.Errorf("newest = %+v, want V 50", pts[2])
 	}
 	if d.LastEpoch() != 5 {
 		t.Errorf("LastEpoch = %d", d.LastEpoch())
@@ -38,10 +38,10 @@ func TestSampleSumsAcrossRegistriesInOrder(t *testing.T) {
 	if v, ok := d.Delta("protean_fleet_moves_total", 1, 1); !ok || v != 7 {
 		t.Errorf("counter sum = %v, %v (want 7)", v, ok)
 	}
-	if p, ok := d.Last("protean_fleet_load"); !ok || p.V != 0.75 {
+	if p := d.Range("protean_fleet_load", 1, 1); len(p) != 1 || p[0].V != 0.75 {
 		t.Errorf("gauge sum = %+v", p)
 	}
-	if _, ok := d.Last("protean_fleet_qos:p50"); !ok {
+	if len(d.Range("protean_fleet_qos:p50", 1, 1)) != 1 {
 		t.Error("histogram quantile series missing")
 	}
 	names := d.Names()
@@ -54,7 +54,7 @@ func TestSampleSumsAcrossRegistriesInOrder(t *testing.T) {
 	r := telemetry.New(telemetry.Config{})
 	r.Histogram("fleet", "empty", "", []float64{1})
 	d.Sample(2, 1.0, r)
-	if _, ok := d.Last("protean_fleet_empty:p50"); ok {
+	if len(d.Range("protean_fleet_empty:p50", 0, 2)) != 0 {
 		t.Error("empty histogram produced a quantile point")
 	}
 }
@@ -76,39 +76,6 @@ func TestDeltaAndRateZeroOrigin(t *testing.T) {
 	if _, ok := d.Delta("c", 9, 1); ok {
 		t.Error("Delta at missing epoch should fail")
 	}
-	// Rate: (400-200)/(2.0-1.0) = 200/s.
-	if v, ok := d.Rate("c", 4, 2); !ok || v != 200 {
-		t.Errorf("Rate(4,2) = %v, %v, want 200", v, ok)
-	}
-	// Zero-origin rate divides by time since t=0: 200/1.0.
-	if v, ok := d.Rate("c", 2, 10); !ok || v != 200 {
-		t.Errorf("Rate(2,10) = %v, %v, want 200", v, ok)
-	}
-}
-
-func TestDownsampleEpochAligned(t *testing.T) {
-	d := New(Config{})
-	for e := 1; e <= 7; e++ {
-		d.Observe("x", Point{Epoch: e, T: float64(e), V: float64(e)})
-	}
-	pts := d.Downsample("x", 3)
-	// Buckets: 1-3 (mean 2), 4-6 (mean 5), 7 (mean 7).
-	if len(pts) != 3 || pts[0].V != 2 || pts[1].V != 5 || pts[2].V != 7 {
-		t.Fatalf("downsample = %+v", pts)
-	}
-	if pts[0].Epoch != 3 || pts[2].Epoch != 7 {
-		t.Errorf("bucket stamps = %d, %d", pts[0].Epoch, pts[2].Epoch)
-	}
-	// Alignment is absolute: dropping the first epochs must not shift
-	// bucket boundaries.
-	d2 := New(Config{Capacity: 5})
-	for e := 1; e <= 7; e++ {
-		d2.Observe("x", Point{Epoch: e, T: float64(e), V: float64(e)})
-	}
-	pts2 := d2.Downsample("x", 3) // retained 3..7 → buckets {3},{4,5,6},{7}
-	if len(pts2) != 3 || pts2[0].V != 3 || pts2[1].V != 5 || pts2[2].V != 7 {
-		t.Fatalf("aligned downsample = %+v", pts2)
-	}
 }
 
 func TestWriteJSONDeterministicAndWindowed(t *testing.T) {
@@ -122,7 +89,12 @@ func TestWriteJSONDeterministicAndWindowed(t *testing.T) {
 		}
 		return d
 	}
-	a, b := build().JSON(), build().JSON()
+	json := func(d *Store) string {
+		var b strings.Builder
+		d.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
+		return b.String()
+	}
+	a, b := json(build()), json(build())
 	if a != b {
 		t.Fatal("identical stores exported different bytes")
 	}
@@ -139,19 +111,6 @@ func TestWriteJSONDeterministicAndWindowed(t *testing.T) {
 	}
 	if !strings.Contains(win, `{"e":3,`) || !strings.Contains(win, `{"e":4,`) {
 		t.Errorf("window dropped in-range points:\n%s", win)
-	}
-	var nilStore *Store
-	var nb strings.Builder
-	if err := nilStore.WriteJSON(&nb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(nb.String(), `"last_epoch": 0`) {
-		t.Errorf("nil store export:\n%s", nb.String())
-	}
-	nilStore.Observe("x", Point{})
-	nilStore.Sample(1, 0.5, nil)
-	if nilStore.Names() != nil || nilStore.LastEpoch() != 0 {
-		t.Error("nil store not inert")
 	}
 }
 

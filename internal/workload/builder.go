@@ -62,15 +62,6 @@ type AppConfig struct {
 	MainWork int
 }
 
-// TotalStaticLoads returns the static load count the config will generate.
-func (cfg AppConfig) TotalStaticLoads() int {
-	n := cfg.ColdFuncs * cfg.ColdLoadsPerFunc
-	for _, h := range cfg.Hot {
-		n += len(h.Loads) + h.ShallowLoads
-	}
-	return n
-}
-
 // Build generates the app's IR module. The entry function performs one work
 // unit per invocation (one batch unit or one service request) and returns,
 // so the machine's restart/gating modes drive it.
