@@ -225,6 +225,13 @@ func touch(order, w uint64) uint64 {
 	return order&^(ahead<<4|0xf) | order&ahead<<4 | w
 }
 
+// refill is touch(order, w) for w the LRU way of an assoc-way set — nibble
+// assoc-1 — as one shift: every used nibble below w's slides up one place.
+func refill(order, w uint64, assoc int) uint64 {
+	m := ^uint64(0) >> (64 - 4*uint(assoc))
+	return order&^m | (order<<4|w)&m
+}
+
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	lineAddr := addr >> c.lineBits
 	if c.pow2 {
@@ -279,6 +286,7 @@ func (c *Cache) AccessBy(core int, addr uint64, nt bool) bool {
 		c.lastIdx = -1
 		return false
 	}
+	demote := nt && c.cfg.NT == NTDemote
 	w := len(tags) - 1
 	if tags[w] == 0 {
 		// Free ways are a suffix: fill the first of them.
@@ -294,12 +302,21 @@ func (c *Cache) AccessBy(core int, addr uint64, nt bool) bool {
 		if c.cold != nil && c.cold[set] != 0 {
 			w = bits.TrailingZeros16(c.cold[set])
 		} else {
-			w = int(c.order[set] >> (4 * uint(len(tags)-1)) & 0xf)
+			w = int(c.order[set] >> (4 * uint(w)) & 0xf)
+			if !demote {
+				// The LRU way refills warm and MRU, and no way is cold:
+				// settle's update is one shift.
+				tags[w] = want
+				c.owners[lo+w] = int8(core)
+				c.order[set] = refill(c.order[set], uint64(w), len(tags))
+				c.lastLine, c.lastIdx = lineAddr, w
+				return false
+			}
 		}
 	}
 	tags[w] = want
 	c.owners[lo+w] = int8(core)
-	c.settle(set, w, lineAddr, nt && c.cfg.NT == NTDemote)
+	c.settle(set, w, lineAddr, demote)
 	return false
 }
 

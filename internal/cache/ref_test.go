@@ -134,6 +134,33 @@ func TestRecencyWordMatchesTimestampLRU(t *testing.T) {
 	}
 }
 
+// TestRefillIsTouchOfLRU: on valid recency words — a random permutation of
+// the ways in the low assoc nibbles, identity above — the full-set refill's
+// shift equals touch of the LRU way, for every associativity.
+func TestRefillIsTouchOfLRU(t *testing.T) {
+	rng := replayRNG(29)
+	for assoc := 1; assoc <= 16; assoc++ {
+		for i := 0; i < 10000; i++ {
+			var ways [16]uint64
+			for w := range ways {
+				ways[w] = uint64(w)
+			}
+			for w := assoc - 1; w > 0; w-- {
+				j := rng.next() % uint64(w+1)
+				ways[w], ways[j] = ways[j], ways[w]
+			}
+			var order uint64
+			for w, v := range ways {
+				order |= v << (4 * uint(w))
+			}
+			lru := order >> (4 * uint(assoc-1)) & 0xf
+			if got, want := refill(order, lru, assoc), touch(order, lru); got != want {
+				t.Fatalf("assoc %d, order %016x: refill %016x, touch %016x", assoc, order, got, want)
+			}
+		}
+	}
+}
+
 // FuzzAccessMatchesTimestampLRU is the same comparison over fuzzer-chosen
 // geometry, policy and stream: each stream byte is six bits of line address,
 // one bit of core and one NT bit.

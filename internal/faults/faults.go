@@ -97,17 +97,20 @@ func (c Chaos) WithDefaults() Chaos {
 	return c
 }
 
-// Enabled reports whether any fault class is active.
+// Enabled reports whether any fault class is active. A probability counts
+// once it is non-zero, so a negative or NaN one reaches the fleet's config
+// validation instead of silently switching its class off.
 func (c *Chaos) Enabled() bool {
-	return c != nil && (c.ServerCrashProb > 0 || c.CompileFailProb > 0 ||
-		c.RuntimeCrashMTTFSeconds > 0 || c.QoSDropoutProb > 0 ||
+	return c != nil && (c.ServerCrashProb != 0 || c.CompileFailProb != 0 ||
+		c.RuntimeCrashMTTFSeconds > 0 || c.QoSDropoutProb != 0 ||
 		c.MigrationEnabled())
 }
 
-// MigrationEnabled reports whether any migration-domain fault is active.
+// MigrationEnabled reports whether any migration-domain fault is active
+// (probabilities as in Enabled).
 func (c *Chaos) MigrationEnabled() bool {
-	return c != nil && (c.MoveDetachFailProb > 0 || c.MoveLandFailProb > 0 ||
-		c.MoveStallMaxSeconds > 0 || c.SampleCorruptProb > 0 || c.SampleStaleProb > 0)
+	return c != nil && (c.MoveDetachFailProb != 0 || c.MoveLandFailProb != 0 ||
+		c.MoveStallMaxSeconds > 0 || c.SampleCorruptProb != 0 || c.SampleStaleProb != 0)
 }
 
 // Fault domains keep schedules independent: the same (server, position)

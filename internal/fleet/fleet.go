@@ -236,6 +236,22 @@ func (c Config) validate() error {
 			seconds{"Chaos.RuntimeCrashMTTFSeconds", ch.RuntimeCrashMTTFSeconds, 0},
 			seconds{"Chaos.QoSDropoutSeconds", ch.QoSDropoutSeconds, 0},
 			seconds{"Chaos.MoveStallMaxSeconds", ch.MoveStallMaxSeconds, 0})
+		for _, p := range []struct {
+			name string
+			v    float64
+		}{
+			{"Chaos.ServerCrashProb", ch.ServerCrashProb},
+			{"Chaos.CompileFailProb", ch.CompileFailProb},
+			{"Chaos.QoSDropoutProb", ch.QoSDropoutProb},
+			{"Chaos.MoveDetachFailProb", ch.MoveDetachFailProb},
+			{"Chaos.MoveLandFailProb", ch.MoveLandFailProb},
+			{"Chaos.SampleCorruptProb", ch.SampleCorruptProb},
+			{"Chaos.SampleStaleProb", ch.SampleStaleProb},
+		} {
+			if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
+				return fmt.Errorf("fleet: %s = %v, want a probability in [0, 1]", p.name, p.v)
+			}
+		}
 	}
 	if mg := c.Migration; mg != nil {
 		durations = append(durations,

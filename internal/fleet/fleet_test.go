@@ -187,6 +187,40 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestChaosProbabilityValidation holds New to rejecting every fault
+// probability outside [0, 1], NaN included: above one a fault would fire
+// always, below zero or NaN never, and neither is what the flag said.
+func TestChaosProbabilityValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  float64
+		set  func(*faults.Chaos, float64)
+	}{
+		{"ServerCrashProb", 1.5, func(c *faults.Chaos, v float64) { c.ServerCrashProb = v }},
+		{"CompileFailProb", -0.1, func(c *faults.Chaos, v float64) { c.CompileFailProb = v }},
+		{"QoSDropoutProb", math.NaN(), func(c *faults.Chaos, v float64) { c.QoSDropoutProb = v }},
+		{"MoveDetachFailProb", math.Inf(1), func(c *faults.Chaos, v float64) { c.MoveDetachFailProb = v }},
+		{"MoveLandFailProb", 1.0000001, func(c *faults.Chaos, v float64) { c.MoveLandFailProb = v }},
+		{"SampleCorruptProb", math.Inf(-1), func(c *faults.Chaos, v float64) { c.SampleCorruptProb = v }},
+		{"SampleStaleProb", math.NaN(), func(c *faults.Chaos, v float64) { c.SampleStaleProb = v }},
+	} {
+		for _, v := range []float64{0, 1, tc.bad} {
+			ch := &faults.Chaos{}
+			tc.set(ch, v)
+			cfg := Config{Servers: 2, Webservice: "web-search", Mix: datacenter.Mix{Name: "test", Apps: []string{"milc"}}, Chaos: ch}
+			_, err := New(cfg)
+			switch valid := v == 0 || v == 1; {
+			case valid && err != nil:
+				t.Errorf("%s = %v: rejected: %v", tc.name, v, err)
+			case !valid && err == nil:
+				t.Errorf("%s = %v: accepted", tc.name, v)
+			case !valid && !strings.Contains(err.Error(), "Chaos."+tc.name):
+				t.Errorf("%s = %v: error %q does not name the field", tc.name, v, err)
+			}
+		}
+	}
+}
+
 // TestSeedChangesMachineNotSchedule: Config.Seed is connected. On a
 // control-plane fleet (load-gated diurnal trace, chaos, migration, SLOs)
 // with the fault schedule pinned by Chaos.Seed, two fleet seeds crash the

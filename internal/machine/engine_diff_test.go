@@ -115,6 +115,13 @@ func TestEngineDifferentialCatalog(t *testing.T) {
 	}
 }
 
+// TestSuperblockFoldsLoopIteration: in er-naive's plain binary every counted
+// loop's iteration — body, back-edge jump, header br — decodes to one fused
+// run (machine.CheckLoopFold).
+func TestSuperblockFoldsLoopIteration(t *testing.T) {
+	machine.CheckLoopFold(t, catalogBinary(t, "er-naive"))
+}
+
 // TestEngineDifferentialScheduling drives the scheduling states the fused
 // path shares with the oracle — partial and full napping, forced sleep,
 // stolen cycles — through both engines in lockstep, at the default 1 ms

@@ -3,9 +3,11 @@ package machine
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/progbin"
 )
 
 func TestALUSemantics(t *testing.T) {
@@ -318,5 +320,138 @@ func TestTracePartialRing(t *testing.T) {
 	}
 	if tr[0].PC != p.bin.Program.EntryPC {
 		t.Errorf("first traced PC = %d, want entry %d", tr[0].PC, p.bin.Program.EntryPC)
+	}
+}
+
+// TestDecodedRecordSizes pins the two per-instruction decode records: the
+// engine allocates one of each per instruction at every Attach and every
+// InstallVariant, so a field that grows either shows up in every
+// workload's allocation volume.
+func TestDecodedRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(sbOp{}); got != 64 {
+		t.Errorf("sbOp is %d bytes, want one 64-byte host cache line", got)
+	}
+	if got := unsafe.Sizeof(sbRun{}); got != 36 {
+		t.Errorf("sbRun is %d bytes, want 36", got)
+	}
+}
+
+// decoded attaches bin to a fresh one-core machine under the superblock
+// engine and returns the engine's decoded state.
+func decoded(t *testing.T, bin *progbin.Binary, cfg ProcessConfig) *sbEngine {
+	t.Helper()
+	p, err := New(Config{Cores: 1, Engine: EngineSuperblock}).Attach(0, bin, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.eng.(*sbEngine)
+}
+
+// CheckLoopFold holds decode's jump fold to its contract on bin, a compiled
+// program with counted loops (`header: br i<trip → body; jmp exit` /
+// `body: …; jmp header`). The run at each loop body's first PC must fold
+// through the back-edge jump and end at the header's br, with aggregates
+// equal to the sum of the two unfolded runs; under a DBT overlay no run
+// folds. It is exported for the external test package, which alone can
+// build catalog binaries (package workload imports machine).
+func CheckLoopFold(t *testing.T, bin *progbin.Binary) {
+	t.Helper()
+	e := decoded(t, bin, ProcessConfig{})
+	// A zero-cost overlay adds nothing to any worst case, so its runs are
+	// exactly the unfolded ones.
+	flat := decoded(t, bin, ProcessConfig{DBT: &DBTConfig{}})
+	for pc, r := range flat.runs {
+		if r.jump {
+			t.Fatalf("run at PC %d folds under a DBT overlay", pc)
+		}
+	}
+	loops := 0
+	for h, op := range e.ops {
+		b := int(op.target)
+		if op.kind != sbBr || b <= h || b >= len(e.ops) {
+			continue
+		}
+		body, header := flat.runs[b], flat.runs[h]
+		if body.term < 0 || e.ops[body.term].kind != sbJmp || int(e.ops[body.term].target) != h {
+			continue
+		}
+		loops++
+		if header.term != int32(h) {
+			t.Errorf("loop header at PC %d: its run ends at PC %d, not at its own br", h, header.term)
+		}
+		want := sbRun{
+			term:       body.term,
+			fixed:      body.fixed + header.fixed,
+			worst:      body.worst + header.worst,
+			insts:      body.insts + header.insts,
+			branches:   body.branches + header.branches,
+			loads:      body.loads + header.loads,
+			stores:     body.stores + header.stores,
+			prefetches: body.prefetches + header.prefetches,
+			plain:      body.plain && header.plain,
+			jump:       true,
+		}
+		if got := e.runs[b]; got != want {
+			t.Errorf("loop body at PC %d (header %d): run %+v, want the two runs summed %+v", b, h, got, want)
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no counted loop in the image")
+	}
+}
+
+// TestJumpChainsDoNotFold decodes a hand-built image holding the two jump
+// shapes that must stay run boundaries — a jump to a jump (`jmp A; A: jmp
+// B`) and a self-loop (`L: jmp L`) — and runs it under both engines in
+// lockstep, at a quantum that lands boundaries all over the loop. A's run
+// does fold, into B's store-carrying run: the mixed path's second segment.
+func TestJumpChainsDoNotFold(t *testing.T) {
+	code := []isa.Inst{
+		{Op: isa.OpConst, Dst: 0, YImm: 0},
+		{Op: isa.OpJmp, Target: 2}, // jmp A
+		{Op: isa.OpJmp, Target: 3}, // A: jmp B
+		{Op: isa.OpStore, Gen: isa.AddrGen{Size: 1 << 16, Pattern: ir.Seq, Stride: 64}}, // B
+		{Op: isa.OpALU, Bin: ir.Add, Dst: 0, X: 0, YImm: 1},
+		{Op: isa.OpBr, Cmp: ir.Lt, X: 0, YImm: 2000, Target: 3}, // loop to B
+		{Op: isa.OpJmp, Target: 6},                              // L: jmp L
+	}
+	bin := &progbin.Binary{Program: &isa.Program{
+		Name:     "jumps",
+		Code:     code,
+		Funcs:    []isa.FuncInfo{{Name: "main", End: len(code), MaxReg: 1}},
+		NumSites: 1,
+	}}
+	e := decoded(t, bin, ProcessConfig{})
+	for pc, r := range e.runs {
+		if r.jump && e.ops[e.runs[e.ops[r.term].target].term].kind == sbJmp {
+			t.Errorf("run at PC %d folds into a run that ends in a jump", pc)
+		}
+	}
+	for pc, want := range []bool{false, false, true, false, false, false, false} {
+		if r := e.runs[pc]; r.term < 0 || r.jump != want {
+			t.Errorf("run at PC %d: term %d, jump %v; want a fused run, jump %v", pc, r.term, r.jump, want)
+		}
+	}
+
+	var ps [2]*Process
+	for i, eng := range []string{EngineInterp, EngineSuperblock} {
+		p, err := New(Config{Cores: 1, Engine: eng, QuantumCycles: 777}).Attach(0, bin, ProcessConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = p
+	}
+	for q := 0; q < 12; q++ {
+		for _, p := range ps {
+			p.m.RunQuanta(1)
+		}
+		a, b := ps[0], ps[1]
+		if a.ctr != b.ctr || a.pc != b.pc || a.m.hier.L1(0).Stats() != b.m.hier.L1(0).Stats() {
+			t.Fatalf("quantum %d: interp %+v at PC %d, L1 %+v; superblock %+v at PC %d, L1 %+v",
+				q, a.ctr, a.pc, a.m.hier.L1(0).Stats(), b.ctr, b.pc, b.m.hier.L1(0).Stats())
+		}
+	}
+	if ps[1].pc != 6 {
+		t.Errorf("after 12 quanta the PC is %d, want the self-loop at 6", ps[1].pc)
 	}
 }

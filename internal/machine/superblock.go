@@ -24,6 +24,10 @@ import (
 //     enter fused execution immediately — and PC sampling attributes
 //     mid-superblock PCs with no extra machinery, because the process PC
 //     is always a real instruction address at every observation point.
+//     A run extends through at most one unconditional direct jump into the
+//     target's run, so a counted loop's `body; jmp header; br` is one
+//     fused run — never under a DBT overlay, whose transfer cost depends
+//     on the translation history.
 //
 //  3. Memory addresses are register-independent. Address generators draw
 //     from per-site cursor state and the process RNG, never from register
@@ -40,7 +44,9 @@ import (
 // worst-case cost fits the remaining budget to the span's limit (the
 // quantum boundary or, while napping, the nap-window edge the oracle
 // re-checks before every instruction). Otherwise the engine single-steps
-// until the limit passes.
+// until the limit passes. A jump run keeps the proof as it is: outside
+// DBT the jump costs a fixed costJmp and its successor is static, so the
+// two segments' summed worst case still bounds every prefix.
 //
 // Invalidation rules:
 //
@@ -100,10 +106,13 @@ const (
 
 // sbRun is the precomputed superblock starting at one PC: the aggregate
 // shape of the straight-line run from that PC through its terminating
-// control transfer.
+// control transfer — or, for a jump run, on through the jump target's run.
+// The record is 36 bytes; decode allocates one per instruction.
 type sbRun struct {
 	// term is the terminator's PC, or -1 when no fused run starts here
 	// (the run falls off the end of the code image, or the op is unknown).
+	// For a jump run it is the jump's PC; the run ends at the terminator
+	// of the target's run.
 	term int32
 	// fixed is the summed issue cost of the whole run, terminator
 	// included — everything except load stalls and DBT transfer overhead.
@@ -121,6 +130,9 @@ type sbRun struct {
 	// (no stores, no prefetches, nothing non-temporal): its batch replays
 	// through the lean ReplayLoads walk instead of the general one.
 	plain bool
+	// jump marks a run whose terminator is a direct jump folded into the
+	// target's run: the aggregates cover both segments.
+	jump bool
 }
 
 // sbEngine executes a process by superblock. Per-process: it owns decoded
@@ -150,8 +162,8 @@ func newSuperblockEngine(p *Process) Engine {
 func (e *sbEngine) CodeInstalled(int) { e.decode() }
 
 // decode builds the dense op array and the per-PC run aggregates in one
-// backward pass: a run's aggregate is its first op plus the aggregate at
-// the next PC.
+// backward pass — a run's aggregate is its first op plus the aggregate at
+// the next PC — then folds each jump run into its target's run.
 func (e *sbEngine) decode() {
 	p := e.p
 	code := p.code
@@ -284,6 +296,38 @@ func (e *sbEngine) decode() {
 			r.plain = false
 		}
 	}
+	if p.dbtSeen != nil {
+		// A DBT transfer's cost depends on which targets were seen before,
+		// so under the overlay every jump stays a run boundary.
+		return
+	}
+	// A run ending in a direct jump continues into the target's run unless
+	// that run ends in a jump too. A target run is therefore never folded
+	// itself, so folding in place is order-independent and `L: jmp L`
+	// cannot chain.
+	for i := range e.runs {
+		r := &e.runs[i]
+		if r.term < 0 || e.ops[r.term].kind != sbJmp {
+			continue
+		}
+		t := e.ops[r.term].target
+		if uint(t) >= uint(n) {
+			continue
+		}
+		next := &e.runs[t]
+		if next.term < 0 || e.ops[next.term].kind == sbJmp {
+			continue
+		}
+		r.fixed += next.fixed
+		r.worst += next.worst
+		r.insts += next.insts
+		r.branches += next.branches
+		r.loads += next.loads
+		r.stores += next.stores
+		r.prefetches += next.prefetches
+		r.plain = r.plain && next.plain
+		r.jump = true
+	}
 }
 
 // RunUntil advances the process to the quantum boundary, one scheduling
@@ -333,7 +377,7 @@ func (e *sbEngine) exec(limit uint64) {
 // independent, so no later op ever needs an earlier stall resolved), while
 // the batched hierarchy walk for queued loads happens once per chain
 // instead of once per block. The budget check charges every queued load at
-// the worst per-load stall — the same bound decode folded into r.worst —
+// the worst per-load stall — the same bound decode summed into r.worst —
 // so each fused block still provably finishes at or before the cycle the
 // oracle's per-instruction boundary check allows, and the flushed total is
 // the same sum the per-block replay would have produced. Only a completion
@@ -347,8 +391,8 @@ func (e *sbEngine) runChain(pc int, r *sbRun, limit uint64) (cont bool) {
 	var pending uint64 // worst-case stall bound for queued, unreplayed loads
 	for {
 		if r.plain {
-			term := int(r.term)
-			addrs = e.plainBody(pc, term, addrs)
+			var term int
+			addrs, term = e.plainBody(pc, r, addrs)
 			pending += uint64(r.loads) * e.maxStall
 			// A plain run carries only ordinary loads (stores, prefetches
 			// and NT traffic all force the mixed path), so the remaining
@@ -389,62 +433,72 @@ func (e *sbEngine) runChain(pc int, r *sbRun, limit uint64) (cont bool) {
 	return cont
 }
 
-// plainBody executes the straight-line body of a plain-load run: register
-// effects and address generation in one pass, each load's address appended
-// to addrs for a batched replay the caller schedules.
-func (e *sbEngine) plainBody(pc, term int, addrs []uint64) []uint64 {
+// plainBody executes the straight-line body of plain-load run r at pc —
+// both segments of a jump run — with register effects and address
+// generation in one pass, each load's address appended to addrs for a
+// batched replay the caller schedules. It returns the grown buffer and the
+// PC of the terminator the run ends at.
+func (e *sbEngine) plainBody(pc int, r *sbRun, addrs []uint64) ([]uint64, int) {
 	p := e.p
 	regs := p.regs
 	sites := p.sites
 	base := p.base
-	// Slice the decoded ops to exactly the run body: the compiler then
-	// drops the per-op bounds checks.
-	body := e.ops[pc:term:term]
-	for j := range body {
-		op := &body[j]
-		switch op.kind {
-		case sbALUImm:
-			regs[op.dst] = alu(ir.BinKind(op.bin), regs[op.x], op.imm)
-		case sbALUReg:
-			regs[op.dst] = alu(ir.BinKind(op.bin), regs[op.x], regs[op.y])
-		case sbConst:
-			regs[op.dst] = op.imm
-		case sbLoadSeq:
-			// address()'s ir.Seq case, inlined: advance the site
-			// cursor by the stride, wrapping at the region size.
-			st := &sites[op.site]
-			off := st.cursor
-			st.cursor += op.stride
-			if st.cursor >= op.size {
-				st.cursor = 0
+	term, jump := int(r.term), r.jump
+	for {
+		// Slice the decoded ops to exactly the segment: the compiler then
+		// drops the per-op bounds checks.
+		body := e.ops[pc:term:term]
+		for j := range body {
+			op := &body[j]
+			switch op.kind {
+			case sbALUImm:
+				regs[op.dst] = alu(ir.BinKind(op.bin), regs[op.x], op.imm)
+			case sbALUReg:
+				regs[op.dst] = alu(ir.BinKind(op.bin), regs[op.x], regs[op.y])
+			case sbConst:
+				regs[op.dst] = op.imm
+			case sbLoadSeq:
+				// address()'s ir.Seq case, inlined: advance the site
+				// cursor by the stride, wrapping at the region size.
+				st := &sites[op.site]
+				off := st.cursor
+				st.cursor += op.stride
+				if st.cursor >= op.size {
+					st.cursor = 0
+				}
+				addr := base + op.gbase + off
+				addrs = append(addrs, addr)
+				regs[op.dst] = int64(addr)
+			case sbLoad:
+				addr := p.address(&p.code[pc+j].Gen)
+				addrs = append(addrs, addr)
+				regs[op.dst] = int64(addr)
 			}
-			addr := base + op.gbase + off
-			addrs = append(addrs, addr)
-			regs[op.dst] = int64(addr)
-		case sbLoad:
-			addr := p.address(&p.code[pc+j].Gen)
-			addrs = append(addrs, addr)
-			regs[op.dst] = int64(addr)
 		}
+		if !jump {
+			return addrs, term
+		}
+		jump = false
+		pc = int(e.ops[term].target)
+		term = int(e.runs[pc].term)
 	}
-	return addrs
 }
 
-// runBlock executes a whole mixed-traffic superblock fused: register
-// effects and address generation in one pass, cache accesses replayed in
-// program order through one batched hierarchy walk, counters settled from
-// the precomputed aggregates, then the terminator. The return value is
-// runTerm's: false after a completion or a halt.
+// runBlock executes a whole mixed-traffic superblock fused — both segments
+// of a jump run: register effects and address generation in one pass,
+// cache accesses replayed in program order through one batched hierarchy
+// walk, counters settled from the precomputed aggregates, then the
+// terminator. The return value is runTerm's: false after a completion or a
+// halt.
 func (e *sbEngine) runBlock(pc int, r *sbRun) bool {
 	p := e.p
 	regs := p.regs
 	sites := p.sites
 	base := p.base
-	term := int(r.term)
-	body := e.ops[pc:term:term]
-	var stall uint64
-	{
-		accs := e.accs[:0]
+	term, jump := int(r.term), r.jump
+	accs := e.accs[:0]
+	for {
+		body := e.ops[pc:term:term]
 		for j := range body {
 			op := &body[j]
 			switch op.kind {
@@ -478,10 +532,17 @@ func (e *sbEngine) runBlock(pc int, r *sbRun) bool {
 				// Issue cost only; already in the aggregate.
 			}
 		}
-		e.accs = accs // keep the grown buffer
-		if len(accs) > 0 {
-			stall = p.m.hier.Replay(p.core, accs, loadMLP)
+		if !jump {
+			break
 		}
+		jump = false
+		pc = int(e.ops[term].target)
+		term = int(e.runs[pc].term)
+	}
+	e.accs = accs // keep the grown buffer
+	var stall uint64
+	if len(accs) > 0 {
+		stall = p.m.hier.Replay(p.core, accs, loadMLP)
 	}
 	p.ctr.Cycles += uint64(r.fixed) + stall
 	p.ctr.Insts += uint64(r.insts)
