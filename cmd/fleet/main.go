@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -102,7 +103,6 @@ func main() {
 	spansPath := flag.String("spans", "", "write the merged spans + events as Chrome trace-event JSON (Perfetto-loadable) to this file (- = stdout)")
 	profilePath := flag.String("profile", "", "write the fleet deep profile as folded stacks (flamegraph/speedscope input) to this file (- = stdout)")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile, /slo, /alerts, /postmortem, /healthz (plus /debug/pprof) on this address during and after the run, e.g. :8080")
-	flag.IntVar(&cfg.ScrapeIntervalQuanta, "scrape-interval", 0, "live-publisher snapshot deposit interval in scheduler quanta for -serve (0 = default 64)")
 	flag.Parse()
 
 	var ok bool
@@ -116,7 +116,9 @@ func main() {
 	if cfg.System, err = fleet.SystemByName(*systemName); err != nil {
 		failErr(err)
 	}
-	if diurnal.Period > 0 {
+	if err := checkDiurnal(diurnal); err != nil {
+		failErr(err)
+	} else if diurnal.Period > 0 {
 		cfg.Trace = diurnal
 	}
 	if *chaos || ch.Enabled() {
@@ -250,6 +252,19 @@ func main() {
 		fmt.Println("run complete; still serving (ctrl-c to exit)")
 		select {}
 	}
+}
+
+// checkDiurnal rejects a diurnal curve the flags cannot mean: a period
+// that is negative, NaN or infinite (0 leaves the webservices saturated),
+// or a load level outside [0, 1].
+func checkDiurnal(d loadgen.Diurnal) error {
+	if !(d.Period >= 0) || math.IsInf(d.Period, 1) {
+		return fmt.Errorf("fleet: -diurnal %v, want a finite period of at least 0 seconds", d.Period)
+	}
+	if !(d.Low >= 0 && d.Low <= 1 && d.High >= 0 && d.High <= 1) { // NaN fails every comparison
+		return fmt.Errorf("fleet: -load-low %v, -load-high %v, want load fractions in [0, 1]", d.Low, d.High)
+	}
+	return nil
 }
 
 func fail(format string, args ...any) {

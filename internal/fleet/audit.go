@@ -122,10 +122,6 @@ type auditor struct {
 	sims []*serverSim
 	rep  AuditReport
 
-	// Per-server monotonicity marks from the previous barrier.
-	prevNow   []uint64
-	prevInsts []uint64
-
 	// Expectations accumulated from the coordinator's move records,
 	// cross-checked against the live counters each epoch.
 	expectLost uint64
@@ -135,11 +131,7 @@ type auditor struct {
 }
 
 func newAuditor(f *Fleet, sims []*serverSim) *auditor {
-	a := &auditor{
-		sims:      sims,
-		prevNow:   make([]uint64, len(sims)),
-		prevInsts: make([]uint64, len(sims)),
-	}
+	a := &auditor{sims: sims}
 	for _, s := range sims {
 		if s.host != nil {
 			a.rep.Instances++
@@ -174,8 +166,9 @@ func (a *auditor) violate(ep *AuditEpoch, kind string, server int, format string
 	ep.Violations++
 }
 
-// check sweeps the fleet at one epoch barrier. lost/mig/fail are the live
-// counter values to cross-check against the move records.
+// check sweeps the fleet at one epoch barrier, after every server's read.
+// lost/mig/fail are the live counter values to cross-check against the
+// move records.
 func (a *auditor) check(epoch int, t float64, lost, mig, fail uint64) {
 	a.lastEpoch = epoch
 	ep := AuditEpoch{Epoch: epoch, AtSeconds: t}
@@ -188,22 +181,18 @@ func (a *auditor) check(epoch int, t float64, lost, mig, fail uint64) {
 		if occ+p > 1 {
 			a.violate(&ep, AuditOccupancy, i, "hosting %d with %d inbound", occ, p)
 		}
-		if !s.res.Crashed || t < s.stop {
+		if s.up(t) {
 			ep.Hosted += occ
 			ep.InFlight += p
 		} else {
 			ep.Stranded += occ + p
 		}
-		now := s.m.Now()
-		if now < a.prevNow[i] {
-			a.violate(&ep, AuditMonotonic, i, "clock ran backwards: %d after %d", now, a.prevNow[i])
+		if s.cur.now < s.prev.now {
+			a.violate(&ep, AuditMonotonic, i, "clock ran backwards: %d after %d", s.cur.now, s.prev.now)
 		}
-		a.prevNow[i] = now
-		insts := s.ws.Counters().Insts
-		if insts < a.prevInsts[i] {
-			a.violate(&ep, AuditMonotonic, i, "instruction counter ran backwards: %d after %d", insts, a.prevInsts[i])
+		if s.cur.ws.Insts < s.prev.ws.Insts {
+			a.violate(&ep, AuditMonotonic, i, "instruction counter ran backwards: %d after %d", s.cur.ws.Insts, s.prev.ws.Insts)
 		}
-		a.prevInsts[i] = insts
 	}
 	if got := ep.Hosted + ep.InFlight + ep.Stranded; got != a.rep.Instances {
 		a.violate(&ep, AuditConservation, -1,

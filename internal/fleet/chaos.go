@@ -82,7 +82,7 @@ func (f *Fleet) replaceDead(sims []*serverSim, plan *chaosPlan, t float64) {
 	// observes the failures.
 	var victims []*serverSim
 	for i, s := range sims {
-		if s.res.Crashed && t >= s.stop && !plan.settled[i] {
+		if !s.up(t) && !plan.settled[i] {
 			plan.settled[i] = true
 			if s.host != nil {
 				victims = append(victims, s)
@@ -90,18 +90,10 @@ func (f *Fleet) replaceDead(sims []*serverSim, plan *chaosPlan, t float64) {
 		}
 	}
 	sort.SliceStable(victims, func(a, b int) bool { return victims[a].stop < victims[b].stop })
-	horizon := f.cfg.horizon()
 	for _, v := range victims {
+		// No server is free at or past the horizon, where every stop lies.
 		land := v.stop + f.cfg.Chaos.RestartDelaySeconds
-		target := -1
-		if land < horizon {
-			for j, s := range sims {
-				if j != v.idx && land < s.stop && s.host == nil && len(s.pending) == 0 {
-					target = j
-					break
-				}
-			}
-		}
+		target := firstFree(sims, land, v.idx)
 		if target < 0 {
 			plan.unplaced++
 			continue

@@ -137,10 +137,6 @@ type Config struct {
 	// SLOs evaluate as multi-window burn-rate rules, and a flight recorder
 	// freezes postmortem bundles when alerts fire. Nil evaluates nothing.
 	SLO *SLOConfig
-	// ScrapeIntervalQuanta is how often each server deposits a live
-	// snapshot for the -serve scrape surface, in machine quanta
-	// (default 64). Smaller = fresher scrapes, more snapshot copying.
-	ScrapeIntervalQuanta int
 	// Telemetry, when non-nil, receives the cluster rollup: every server
 	// simulates with its own single-writer registry (machine, core, pc3d
 	// and supervise all report into it), and after the workers join the
@@ -189,9 +185,6 @@ func (c Config) withDefaults() Config {
 		// After Migration's defaults: the SLO window rides its barriers.
 		sc := c.SLO.withDefaults(c)
 		c.SLO = &sc
-	}
-	if c.ScrapeIntervalQuanta <= 0 {
-		c.ScrapeIntervalQuanta = publishEveryQuanta
 	}
 	return c
 }
@@ -605,7 +598,7 @@ func (f *Fleet) Run() (Metrics, error) {
 		f.tel = telemetry.New(telemetry.Config{})
 	}
 	f.tel.Gauge("fleet", "scrape_interval_quanta", "live-publisher snapshot deposit interval in scheduler quanta").
-		Set(float64(f.cfg.ScrapeIntervalQuanta))
+		Set(publishEveryQuanta)
 	// One single-writer registry per server; workers write disjoint slots.
 	f.serverTel = make([]*telemetry.Registry, f.cfg.Servers)
 	f.serverProf = make([]map[string]*sampling.DeepProfile, f.cfg.Servers)
@@ -618,8 +611,7 @@ func (f *Fleet) Run() (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	horizon := f.cfg.horizon()
-	if err := f.runEpochs(sims, horizon, &plan); err != nil {
+	if err := f.runEpochs(sims, &plan); err != nil {
 		return Metrics{}, err
 	}
 	results := make([]ServerResult, f.cfg.Servers)
@@ -635,7 +627,10 @@ func (f *Fleet) Run() (Metrics, error) {
 		// Final sweep at the horizon: every pending arrival on a live
 		// server has landed by now, so the census reduces to hosted +
 		// stranded-on-dead and must still conserve the placed population.
-		f.audit.check(f.audit.lastEpoch+1, horizon,
+		for _, s := range sims {
+			s.read()
+		}
+		f.audit.check(f.audit.lastEpoch+1, f.cfg.horizon(),
 			f.tel.CounterValue("contend", "migration_quanta_lost_total"),
 			f.tel.CounterValue("contend", "migrations_total"),
 			f.tel.CounterValue("contend", "moves_failed_total"))
@@ -661,17 +656,20 @@ func (f *Fleet) Run() (Metrics, error) {
 // barrier too, in every run: the scheduler reacts to a crash the instant it
 // happens, so a victim lands at exactly crash + RestartDelaySeconds. A run
 // with no epoch clock and no crashes has no barriers at all: finish()
-// drains every server in one pass.
-func (f *Fleet) runEpochs(sims []*serverSim, horizon float64, plan *chaosPlan) error {
+// drains every server in one pass. Each decision barrier reads every
+// server once, after the re-placements; the migration and SLO steps both
+// difference those readings.
+func (f *Fleet) runEpochs(sims []*serverSim, plan *chaosPlan) error {
 	var g *migrator
 	crashes := plan.crashTimes()
 	window := math.Inf(1)
+	horizon := f.cfg.horizon()
 	if f.cfg.Migration != nil {
-		g = f.newMigrator(sims, horizon)
+		g = f.newMigrator(sims)
 		window = g.mc.WindowSeconds
 	}
 	if f.cfg.SLO != nil {
-		f.sloObs = f.newSLOObserver(sims, horizon)
+		f.sloObs = f.newSLOObserver(sims)
 		window = f.cfg.SLO.WindowSeconds
 	}
 	n := len(sims)
@@ -691,6 +689,9 @@ func (f *Fleet) runEpochs(sims []*serverSim, horizon float64, plan *chaosPlan) e
 		f.replaceDead(sims, plan, t)
 		if !decide {
 			continue
+		}
+		for _, s := range sims {
+			s.read()
 		}
 		if g != nil {
 			g.barrier(e, t)

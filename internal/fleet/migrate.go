@@ -223,7 +223,6 @@ type migrator struct {
 	det     *contend.Detector
 	brk     *contend.Breaker
 	aud     *auditor
-	horizon float64
 	freq    float64
 	quantum uint64
 
@@ -248,31 +247,34 @@ func (g *migrator) cyc(sec float64) uint64 { return uint64(sec * g.freq) }
 // quanta converts a blackout duration to lost batch quanta.
 func (g *migrator) quanta(sec float64) uint64 { return uint64(sec*g.freq) / g.quantum }
 
-// alive reports whether server i is up at barrier time t.
-func (g *migrator) alive(i int, t float64) bool {
-	s := g.sims[i]
-	return !s.res.Crashed || t < s.stop
-}
-
-// emitBreaker records a breaker transition on the fleet-scope trace.
-func (g *migrator) emitBreaker(t float64, cause string) {
+// breakerMoved follows every breaker operation: a changed state goes on
+// the fleet-scope trace, and a move to open is a trip (the breaker only
+// opens by tripping).
+func (g *migrator) breakerMoved(t float64, pre contend.BreakerState, cause string) {
+	st := g.brk.State()
+	if st == pre {
+		return
+	}
 	g.f.tel.Emit(telemetry.Event{
 		At: g.cyc(t), Kind: telemetry.EvBreaker, Server: -1,
-		Value: float64(g.brk.State()), Detail: cause,
+		Value: float64(st), Detail: cause,
 	})
+	if st == contend.BreakerOpen {
+		g.cTrip.Inc()
+	}
 }
 
 // newMigrator builds the decision-epoch coordinator described in the
 // package comment above; runEpochs drives its barrier once per epoch. sims
 // are already constructed and at t=0.
-func (f *Fleet) newMigrator(sims []*serverSim, horizon float64) *migrator {
+func (f *Fleet) newMigrator(sims []*serverSim) *migrator {
 	mc := *f.cfg.Migration
 	n := len(sims)
 	mcfg := sims[0].m.Config()
 	g := &migrator{
 		f: f, mc: mc, ch: f.cfg.Chaos, sims: sims,
 		det: contend.New(n, mc.Detector), brk: contend.NewBreaker(mc.Breaker),
-		horizon: horizon, freq: mcfg.FreqHz, quantum: mcfg.QuantumCycles,
+		freq: mcfg.FreqHz, quantum: mcfg.QuantumCycles,
 		cMig:          f.tel.Counter("contend", "migrations_total", "live batch migrations landed"),
 		cLost:         f.tel.Counter("contend", "migration_quanta_lost_total", "batch quanta lost to migration blackouts"),
 		cFail:         f.tel.Counter("contend", "moves_failed_total", "live migrations that failed (detach faults + rollbacks)"),
@@ -314,18 +316,13 @@ func (g *migrator) barrier(e int, t float64) {
 
 	// Breaker epoch advance: cooldown countdown, then the corrupt-epoch
 	// trip — decisions made from corrupted counters can't be trusted.
-	prevState := g.brk.State()
+	pre := g.brk.State()
 	g.brk.BeginEpoch()
-	if g.brk.State() != prevState {
-		g.emitBreaker(t, "cooldown")
-	}
+	g.breakerMoved(t, pre, "cooldown")
 	if corruptEpoch {
-		preTrips := g.brk.Trips()
+		pre = g.brk.State()
 		g.brk.TripCorrupt()
-		if g.brk.Trips() != preTrips {
-			g.cTrip.Inc()
-			g.emitBreaker(t, "corrupt")
-		}
+		g.breakerMoved(t, pre, "corrupt")
 	}
 	g.gBreaker.Set(float64(g.brk.State()))
 
@@ -345,20 +342,18 @@ func (g *migrator) barrier(e int, t float64) {
 		telemetry.Num("budget", float64(budget)))
 	var moves []contend.Move
 	g.spares = nil
-	if budget > 0 && t+g.mc.BlackoutSeconds < g.horizon {
+	if budget > 0 && t+g.mc.BlackoutSeconds < g.f.cfg.horizon() {
 		var cands []contend.Candidate
 		targets := make([]contend.Target, 0, n)
 		for i, s := range g.sims {
-			alive := t < s.stop
-			if verdicts[i] && alive && s.host != nil {
+			if verdicts[i] && s.up(t) && s.host != nil {
 				cands = append(cands, contend.Candidate{
 					Server: i, App: s.hostApp, Score: g.f.cal.pressure[s.hostApp],
 				})
 			}
 			targets = append(targets, contend.Target{
 				Server: i, Load: samples[i].Util,
-				Eligible: alive && samples[i].Valid && !verdicts[i] &&
-					s.host == nil && len(s.pending) == 0,
+				Eligible: s.free(t) && samples[i].Valid && !verdicts[i],
 			})
 		}
 		moves = contend.PlanMoves(g.mc.Detector.Seed, cands, targets, budget)
@@ -371,23 +366,18 @@ func (g *migrator) barrier(e int, t float64) {
 	}
 	for _, mv := range moves {
 		outcome := g.executeMove(mv, e, t, spDecide)
-		preState, preTrips := g.brk.State(), g.brk.Trips()
+		pre := g.brk.State()
 		switch {
 		case outcome > 0:
 			g.brk.RecordSuccess()
-			if g.brk.State() != preState {
-				g.emitBreaker(t, "probe-ok")
-			}
+			g.breakerMoved(t, pre, "probe-ok")
 		case outcome < 0:
-			g.brk.RecordFailure()
-			if g.brk.Trips() != preTrips {
-				g.cTrip.Inc()
-				cause := "failures"
-				if preState == contend.BreakerHalfOpen {
-					cause = "probe-fail"
-				}
-				g.emitBreaker(t, cause)
+			cause := "failures"
+			if pre == contend.BreakerHalfOpen {
+				cause = "probe-fail"
 			}
+			g.brk.RecordFailure()
+			g.breakerMoved(t, pre, cause)
 		}
 	}
 	g.gBreaker.Set(float64(g.brk.State()))
@@ -417,16 +407,17 @@ func (g *migrator) barrier(e int, t float64) {
 	g.f.publish(func(p *published) { p.contend, p.audit = st, g.aud.snapshot() })
 }
 
-// sample reads every server's contention signals for this epoch: dead
-// servers are evicted from the detector (their stale windows must not pin
-// the fleet quantile), and live servers' readings pass through the seeded
-// sensor-fault schedule — corrupted samples arrive scaled by a garbage
-// factor, stale samples replay what the sensor last delivered.
+// sample derives every server's contention signals for this epoch from
+// its barrier readings: dead servers are evicted from the detector (their
+// stale windows must not pin the fleet quantile), and live servers'
+// readings pass through the seeded sensor-fault schedule — corrupted
+// samples arrive scaled by a garbage factor, stale samples replay what the
+// sensor last delivered.
 func (g *migrator) sample(e int, t float64) (samples []contend.Sample, corruptEpoch bool) {
 	samples = make([]contend.Sample, len(g.sims))
 	for i, s := range g.sims {
 		raw := s.contendSample()
-		if !g.alive(i, t) {
+		if !s.up(t) {
 			g.det.Evict(i)
 			samples[i] = contend.Sample{}
 			g.lastDelivered[i] = contend.Sample{}
@@ -462,8 +453,7 @@ func (g *migrator) takeSpare(land float64) (int, bool) {
 	for len(g.spares) > 0 {
 		tgt := g.spares[0]
 		g.spares = g.spares[1:]
-		s := g.sims[tgt.Server]
-		if land < s.stop && s.host == nil && len(s.pending) == 0 {
+		if g.sims[tgt.Server].free(land) {
 			return tgt.Server, true
 		}
 	}
@@ -573,12 +563,9 @@ func (g *migrator) rollback(rec *MoveRecord, src *serverSim, app string, dur flo
 	rbDur := dur + mc.RollbackPenaltySeconds
 	rbLand := rec.AtSeconds + rbDur
 	target := src.idx
-	if rbLand >= g.sims[target].stop {
-		for j, s := range g.sims {
-			if j != src.idx && rbLand < s.stop && s.host == nil && len(s.pending) == 0 {
-				target = j
-				break
-			}
+	if rbLand >= src.stop {
+		if j := firstFree(g.sims, rbLand, src.idx); j >= 0 {
+			target = j
 		}
 	}
 	g.sims[target].scheduleArrival(arrival{App: app, AtSeconds: rbLand, migrated: true, from: src.idx, rollback: true})

@@ -62,10 +62,8 @@ type serverSim struct {
 	// pending are future batch arrivals (chaos re-placements and migration
 	// landings), kept sorted by time.
 	pending []arrival
-	// stop is when this server halts (crash or horizon); horizon is the
-	// full run length.
-	stop    float64
-	horizon float64
+	// stop is when this server halts (crash or horizon).
+	stop float64
 
 	res     ServerResult
 	snapped bool
@@ -75,12 +73,58 @@ type serverSim struct {
 	// measured so far, so utilization survives a mid-window migration.
 	utilNorm float64
 
-	// Contention-sample marks (deltas since the previous epoch sample).
-	lastSampleS   float64
-	lastWS        machine.Counters
-	lastLLC       uint64
-	hostInstsBank uint64
-	hostInstsMark uint64
+	// hostInstsDone banks the instructions of departed batch instances, so
+	// a reading's hostInsts stays cumulative across migrations.
+	hostInstsDone uint64
+	// prev and cur are the last two decision-barrier readings; the
+	// detector, the SLO observer and the auditor difference them.
+	prev, cur reading
+}
+
+// reading is one server's cumulative counters at a barrier.
+type reading struct {
+	now uint64 // machine clock, cycles
+	ws  machine.Counters
+	// offered is the load generator's offered requests (0 when saturated);
+	// llc sums LLC misses over every core; hostInsts counts batch
+	// instructions, departed instances included.
+	offered, llc, hostInsts uint64
+}
+
+// read shifts cur to prev and takes a fresh reading.
+func (s *serverSim) read() {
+	r := reading{now: s.m.Now(), ws: s.ws.Counters(), hostInsts: s.hostInstsDone}
+	if s.gen != nil {
+		r.offered = s.gen.Offered()
+	}
+	for c := 0; c < s.m.Config().Cores; c++ {
+		r.llc += s.m.Hierarchy().CoreStats(c).LLCMisses
+	}
+	if s.host != nil {
+		r.hostInsts += s.host.Counters().Insts
+	}
+	s.prev, s.cur = s.cur, r
+}
+
+// up reports whether the server is up at barrier time t. A server that
+// never crashes stays up at the horizon itself.
+func (s *serverSim) up(t float64) bool { return !s.res.Crashed || t < s.stop }
+
+// free reports whether the server can take a batch arrival at t: alive
+// then, with no instance hosted or inbound.
+func (s *serverSim) free(t float64) bool {
+	return t < s.stop && s.host == nil && len(s.pending) == 0
+}
+
+// firstFree is the lowest-index server other than not that is free at t,
+// or -1.
+func firstFree(sims []*serverSim, t float64, not int) int {
+	for j, s := range sims {
+		if j != not && s.free(t) {
+			return j
+		}
+	}
+	return -1
 }
 
 // newServerSim wires one server: webservice on core 0 (gated behind the
@@ -94,9 +138,8 @@ func newServerSim(f *Fleet, idx int, app string, crashAt float64) (*serverSim, e
 	m := machine.New(machine.Config{Cores: 4, Seed: serverSeed(cfg.Seed, idx), Engine: cfg.Engine, Telemetry: reg})
 	s := &serverSim{
 		f: f, idx: idx, reg: reg, m: m, freq: m.Config().FreqHz,
-		horizon: cfg.horizon(),
+		stop: math.Min(crashAt, cfg.horizon()),
 	}
-	s.stop = math.Min(crashAt, s.horizon)
 	s.res = ServerResult{Index: idx, App: app, Load: 1, Availability: 1}
 	s.res.Crashed = !math.IsInf(crashAt, 1)
 
@@ -124,7 +167,7 @@ func newServerSim(f *Fleet, idx int, app string, crashAt float64) (*serverSim, e
 	if f.live != nil {
 		m.AddAgent(&livePublisher{
 			live: f.live, idx: idx, reg: reg, prof: s.profSnapshot,
-			step: uint64(cfg.ScrapeIntervalQuanta) * m.Config().QuantumCycles,
+			step: publishEveryQuanta * m.Config().QuantumCycles,
 		})
 	}
 
@@ -207,8 +250,7 @@ func (s *serverSim) detachInstance() string {
 		hd := s.host.Counters().Sub(s.h0)
 		s.utilNorm += float64(hd.Branches) / s.f.cal.soloBPS[app]
 	}
-	s.hostInstsBank += s.host.Counters().Insts - s.hostInstsMark
-	s.hostInstsMark = 0
+	s.hostInstsDone += s.host.Counters().Insts
 	s.stack.Close()
 	s.stack = nil
 	for _, g := range s.gates {
@@ -308,34 +350,19 @@ func (s *serverSim) advanceTo(tSeconds float64) error {
 	return nil
 }
 
-// contendSample reads the contention signals accumulated since the
-// previous call: webservice CPI over active cycles, server-wide MPKI
+// contendSample derives the contention signals between the last two
+// readings: webservice CPI over active cycles, server-wide MPKI
 // (webservice + batch instructions, banked across migrations), LLC miss
 // bandwidth, and offered load. A server that made no progress (crashed)
 // or retired no webservice instructions yields an invalid sample.
 func (s *serverSim) contendSample() contend.Sample {
-	now := s.m.NowSeconds()
-	dt := now - s.lastSampleS
-	wc := s.ws.Counters()
-	var llc uint64
-	for c := 0; c < s.m.Config().Cores; c++ {
-		llc += s.m.Hierarchy().CoreStats(c).LLCMisses
-	}
-	dws := wc.Sub(s.lastWS)
-	dllc := llc - s.lastLLC
-	hostInsts := s.hostInstsBank
-	if s.host != nil {
-		hostInsts += s.host.Counters().Insts - s.hostInstsMark
-	}
-	// Reset the marks whether or not the sample is valid.
-	s.lastSampleS, s.lastWS, s.lastLLC = now, wc, llc
-	s.hostInstsBank = 0
-	if s.host != nil {
-		s.hostInstsMark = s.host.Counters().Insts
-	}
+	prev, cur := &s.prev, &s.cur
+	dt := float64(cur.now)/s.freq - float64(prev.now)/s.freq
+	dws := cur.ws.Sub(prev.ws)
 	if dt <= 0 || dws.Insts == 0 {
 		return contend.Sample{}
 	}
+	dllc := cur.llc - prev.llc
 	active := dws.Cycles - dws.NapCycles - dws.SleepCycles - dws.StolenCycles - dws.IdleCycles
 	util := 1.0
 	if s.gen != nil {
@@ -343,7 +370,7 @@ func (s *serverSim) contendSample() contend.Sample {
 	}
 	return contend.Sample{
 		CPI:      float64(active) / float64(dws.Insts),
-		MPKI:     1000 * float64(dllc) / float64(dws.Insts+hostInsts),
+		MPKI:     1000 * float64(dllc) / float64(dws.Insts+cur.hostInsts-prev.hostInsts),
 		MissRate: float64(dllc) / dt,
 		Util:     util,
 		Valid:    true,
@@ -354,7 +381,7 @@ func (s *serverSim) contendSample() contend.Sample {
 // measured result, and releases the policy session.
 func (s *serverSim) finish() (ServerResult, error) {
 	cfg := s.f.cfg
-	if err := s.advanceTo(s.horizon); err != nil {
+	if err := s.advanceTo(cfg.horizon()); err != nil {
 		return ServerResult{}, err
 	}
 	if s.stack != nil {

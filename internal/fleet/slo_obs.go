@@ -15,9 +15,6 @@
 //     freezes a postmortem bundle: the trailing tsdb window, the merged
 //     event-trace tail, the open span tree, and the contend/audit/SLO
 //     snapshots.
-//
-// The observer keeps its own per-server counter marks — the contention
-// detector's sampler resets marks it owns, and the two must not share.
 package fleet
 
 import (
@@ -26,7 +23,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/machine"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
@@ -135,19 +131,16 @@ func DefaultSLOSpecs() []slo.Spec {
 // sloObserver is the per-run state of the SLO barrier step. Touched only in
 // the single-threaded coordinator section.
 type sloObserver struct {
-	f       *Fleet
-	sc      SLOConfig
-	sims    []*serverSim
-	db      *tsdb.Store
-	eng     *slo.Engine
-	rec     *slo.Recorder
-	horizon float64
+	f    *Fleet
+	sc   SLOConfig
+	sims []*serverSim
+	db   *tsdb.Store
+	eng  *slo.Engine
+	rec  *slo.Recorder
 
-	// Per-server marks for per-epoch deltas (the contend detector keeps its
-	// own; never share).
-	lastWS  []machine.Counters
-	lastOff []uint64
-	lastT   float64
+	// lastT is the previous barrier's time: saturated QoS is measured
+	// against barrier time, not the machine clock.
+	lastT float64
 
 	// Cumulative SLI accumulators mirrored into tsdb series.
 	qosGood, qosTotal           float64
@@ -166,16 +159,14 @@ type sloObserver struct {
 	gFiring                     *telemetry.Gauge
 }
 
-func (f *Fleet) newSLOObserver(sims []*serverSim, horizon float64) *sloObserver {
+func (f *Fleet) newSLOObserver(sims []*serverSim) *sloObserver {
 	sc := *f.cfg.SLO
 	mcfg := sims[0].m.Config()
 	quantaPerEpoch := sc.WindowSeconds * mcfg.FreqHz / float64(mcfg.QuantumCycles)
 	o := &sloObserver{
-		f: f, sc: sc, sims: sims, horizon: horizon,
+		f: f, sc: sc, sims: sims,
 		db:             tsdb.New(tsdb.Config{}),
 		rec:            slo.NewRecorder(slo.DefaultRecorderCap),
-		lastWS:         make([]machine.Counters, len(sims)),
-		lastOff:        make([]uint64, len(sims)),
 		capacityQuanta: quantaPerEpoch * float64(len(sims)),
 		cFired:         f.tel.Counter("slo", "alerts_fired_total", "SLO alert firing transitions"),
 		cResolved:      f.tel.Counter("slo", "alerts_resolved_total", "SLO alert resolved transitions"),
@@ -203,20 +194,14 @@ func (f *Fleet) boostBudget() int {
 // violations this epoch (a flight-recorder trigger).
 func (o *sloObserver) observeSLIs(epoch int, t float64) (newViolations bool) {
 	dt := t - o.lastT
-	for i, s := range o.sims {
+	for _, s := range o.sims {
 		o.availTotal++
-		alive := t < s.stop
-		wc := s.ws.Counters()
-		var off uint64
-		if s.gen != nil {
-			off = s.gen.Offered()
-		}
-		if alive {
+		if s.up(t) {
 			o.availGood++
-			dws := wc.Sub(o.lastWS[i])
+			dws := s.cur.ws.Sub(s.prev.ws)
 			ratio := 1.0
 			if s.gen != nil {
-				if dOff := off - o.lastOff[i]; dOff > 0 {
+				if dOff := s.cur.offered - s.prev.offered; dOff > 0 {
 					ratio = float64(dws.Completions) / float64(dOff)
 					if ratio > 1 {
 						ratio = 1
@@ -230,7 +215,6 @@ func (o *sloObserver) observeSLIs(epoch int, t float64) (newViolations bool) {
 				o.qosGood++
 			}
 		}
-		o.lastWS[i], o.lastOff[i] = wc, off
 	}
 	o.lastT = t
 

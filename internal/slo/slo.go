@@ -22,6 +22,7 @@ package slo
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/telemetry"
@@ -68,6 +69,8 @@ func (s Spec) withDefaults() Spec {
 	if s.ResolveEpochs <= 0 {
 		s.ResolveEpochs = 2
 	}
+	// The caller's rules share this backing array: default a copy.
+	s.Rules = slices.Clone(s.Rules)
 	for i, r := range s.Rules {
 		if r.ShortEpochs <= 0 {
 			s.Rules[i].ShortEpochs = max(1, r.LongEpochs/12)

@@ -213,3 +213,14 @@ func TestRecorderBoundedDropNewest(t *testing.T) {
 		}
 	}
 }
+
+// TestNewEngineLeavesSpecsAlone: defaulting a rule's short window happens
+// on the engine's copy, not through the caller's Rules slice.
+func TestNewEngineLeavesSpecsAlone(t *testing.T) {
+	specs := []Spec{{Name: "qos", Good: "good", Total: "total", Objective: 0.9,
+		Rules: []BurnRule{{LongEpochs: 24, Burn: 2, Severity: "page"}}}}
+	NewEngine(tsdb.New(tsdb.Config{}), specs)
+	if got := specs[0].Rules[0].ShortEpochs; got != 0 {
+		t.Errorf("caller's rule ShortEpochs = %d after NewEngine, want 0", got)
+	}
+}
