@@ -255,6 +255,24 @@ func (c Config) validate() error {
 	}
 	if c.SLO != nil {
 		durations = append(durations, seconds{"SLO.WindowSeconds", c.SLO.WindowSeconds, quantumSeconds})
+		// An SLO that can never page is rejected: a NaN objective makes
+		// every burn NaN, one outside (0, 1] leaves no meaningful error
+		// budget (1 is legal: any error is then an infinite burn), a rule
+		// with no long window is never evaluable, and a NaN, infinite or
+		// non-positive threshold fails or passes every comparison.
+		for i, s := range c.SLO.Specs {
+			if !(s.Objective > 0 && s.Objective <= 1) {
+				return fmt.Errorf("fleet: SLO.Specs[%d] (%s) objective %v outside (0, 1]", i, s.Name, s.Objective)
+			}
+			for j, r := range s.Rules {
+				if r.LongEpochs <= 0 {
+					return fmt.Errorf("fleet: SLO.Specs[%d] (%s) rule %d: LongEpochs %d, want at least 1", i, s.Name, j, r.LongEpochs)
+				}
+				if !(r.Burn > 0) || math.IsInf(r.Burn, 1) {
+					return fmt.Errorf("fleet: SLO.Specs[%d] (%s) rule %d: burn %v, want a finite threshold above 0", i, s.Name, j, r.Burn)
+				}
+			}
+		}
 	}
 	for _, d := range durations {
 		if !(d.v >= d.min) || math.IsInf(d.v, 1) {

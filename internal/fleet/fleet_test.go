@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/machine"
+	"repro/internal/slo"
 )
 
 // testConfig is a deliberately small diurnal fleet: cheap enough for the
@@ -183,6 +184,57 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSLOSpecValidation holds New to rejecting an SLO spec that could
+// never page — a NaN or out-of-range objective, a rule with no long window,
+// a NaN, infinite or non-positive burn threshold — while the defaults, an
+// objective of exactly 1 and custom specs that can page are accepted.
+func TestSLOSpecValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	spec := func(objective float64, rules ...slo.BurnRule) []slo.Spec {
+		return []slo.Spec{{Name: "custom", Good: SeriesQoSGood, Total: SeriesQoSTotal, Objective: objective, Rules: rules}}
+	}
+	rule := func(long int, burn float64) slo.BurnRule {
+		return slo.BurnRule{LongEpochs: long, Burn: burn, Severity: "page"}
+	}
+	cases := []struct {
+		name  string
+		specs []slo.Spec
+		want  string // substring of the error; "" = must be accepted
+	}{
+		{"defaults", nil, ""},
+		{"default specs explicit", DefaultSLOSpecs(), ""},
+		{"objective one", spec(1, rule(1, 1)), ""},
+		{"no rules", spec(0.99), ""},
+		{"short window defaulted", spec(0.99, rule(24, 14.4)), ""},
+		{"NaN objective", spec(nan, rule(4, 2)), "objective"},
+		{"zero objective", spec(0, rule(4, 2)), "objective"},
+		{"negative objective", spec(-0.5, rule(4, 2)), "objective"},
+		{"objective above one", spec(1.01, rule(4, 2)), "objective"},
+		{"zero long window", spec(0.99, rule(0, 2)), "LongEpochs"},
+		{"negative long window", spec(0.99, rule(-3, 2)), "LongEpochs"},
+		{"NaN burn", spec(0.99, rule(4, nan)), "burn"},
+		{"infinite burn", spec(0.99, rule(4, inf)), "burn"},
+		{"zero burn", spec(0.99, rule(4, 0)), "burn"},
+		{"negative burn", spec(0.99, rule(4, -1)), "burn"},
+		{"second rule bad", spec(0.99, rule(4, 2), rule(0, 2)), "rule 1"},
+	}
+	for _, tc := range cases {
+		cfg := Config{Servers: 2, Webservice: "web-search", Mix: datacenter.Mix{Name: "test", Apps: []string{"milc"}},
+			SLO: &SLOConfig{Specs: tc.specs}}
+		_, err := New(cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		case tc.want != "" && !strings.HasPrefix(err.Error(), "fleet: SLO.Specs[0]"):
+			t.Errorf("%s: error %q does not name the spec", tc.name, err)
 		}
 	}
 }

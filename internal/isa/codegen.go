@@ -62,13 +62,18 @@ func Lower(m *ir.Module, cfg Config) (*Program, error) {
 	// Lower each function, collecting call fixups resolved once all
 	// entries are known.
 	entries := make(map[string]int, len(m.Funcs))
+	n := 0
+	for _, f := range m.Funcs {
+		n += textLen(f)
+	}
+	p.Code = make([]Inst, 0, n)
 	for _, f := range m.Funcs {
 		entry := len(p.Code)
-		code, blocks, err := env.lowerFunc(m, f, entry)
+		code, blocks, err := env.lowerFunc(m, f, entry, p.Code)
 		if err != nil {
 			return nil, err
 		}
-		p.Code = append(p.Code, code...)
+		p.Code = code
 		p.Funcs = append(p.Funcs, FuncInfo{
 			Name: f.Name, Entry: entry, End: len(p.Code), MaxReg: f.MaxReg,
 			Blocks: blocks,
@@ -129,7 +134,7 @@ func LowerVariant(p *Program, m *ir.Module, fn string, variant, basePC int) (*Va
 		evtSlot[e.Callee] = i
 	}
 	env := &lowerEnv{globals: globalInfo, evtSlot: evtSlot}
-	code, blocks, err := env.lowerFunc(m, f, basePC)
+	code, blocks, err := env.lowerFunc(m, f, basePC, make([]Inst, 0, textLen(f)))
 	if err != nil {
 		return nil, err
 	}
@@ -185,20 +190,51 @@ func (env *lowerEnv) gen(a ir.Access, memID int) (AddrGen, error) {
 	}, nil
 }
 
-// lowerFunc emits the function's code with all branch targets absolute,
-// assuming the first instruction lands at basePC. It also returns the
-// per-block PC extents (absolute, in layout order) for sample attribution.
-func (env *lowerEnv) lowerFunc(m *ir.Module, f *ir.Function, basePC int) ([]Inst, []BlockInfo, error) {
-	var code []Inst
-	blockPC := make([]int, len(f.Blocks))
+// textLen is the number of instructions lowerFunc emits for f: one per IR
+// instruction and terminator, plus the const that materializes an
+// immediate ALU X, the prefetchnta before an NT load, and the jump after a
+// branch whose false edge does not fall through. Callers size the text
+// with it so it is written once; a wrong count costs capacity only.
+func textLen(f *ir.Function) int {
+	n := 0
+	for bi, b := range f.Blocks {
+		n += len(b.Instrs) + 1
+		for _, in := range b.Instrs {
+			if bo, ok := in.(*ir.BinOp); ok && !bo.X.IsReg {
+				n++
+			}
+			if ld, ok := in.(*ir.Load); ok && ld.NT {
+				n++
+			}
+		}
+		if t, ok := b.Term.(*ir.Branch); ok && !fallsThrough(f, bi, t) {
+			n++
+		}
+	}
+	return n
+}
+
+// fallsThrough reports whether branch t ending block bi of f reaches its
+// false target by falling into the next block in layout order.
+func fallsThrough(f *ir.Function, bi int, t *ir.Branch) bool {
+	return bi+1 < len(f.Blocks) && f.Blocks[bi+1] == t.False
+}
+
+// lowerFunc appends the function's code to code with all branch targets
+// absolute, assuming the first appended instruction lands at basePC. It
+// returns the grown slice and the per-block PC extents (absolute, in
+// layout order) for sample attribution.
+func (env *lowerEnv) lowerFunc(m *ir.Module, f *ir.Function, basePC int, code []Inst) ([]Inst, []BlockInfo, error) {
+	start := len(code)
+	blockPC := make([]int, len(f.Blocks)) // relative to start
 	type branchFixup struct {
-		pc    int // index into code (relative)
+		pc    int // index into code
 		block int // target block index
 	}
 	var fixups []branchFixup
 
 	for bi, b := range f.Blocks {
-		blockPC[bi] = len(code)
+		blockPC[bi] = len(code) - start
 		for _, in := range b.Instrs {
 			switch in := in.(type) {
 			case *ir.BinOp:
@@ -257,7 +293,7 @@ func (env *lowerEnv) lowerFunc(m *ir.Module, f *ir.Function, basePC int) ([]Inst
 				if slot, ok := env.evtSlot[in.Callee]; ok {
 					code = append(code, Inst{Op: OpCallEVT, EVTSlot: slot, LoadID: -1})
 				} else {
-					env.callFixups = append(env.callFixups, callFixup{pc: basePC + len(code), callee: in.Callee})
+					env.callFixups = append(env.callFixups, callFixup{pc: basePC + len(code) - start, callee: in.Callee})
 					code = append(code, Inst{Op: OpCall, LoadID: -1})
 				}
 			default:
@@ -280,7 +316,7 @@ func (env *lowerEnv) lowerFunc(m *ir.Module, f *ir.Function, basePC int) ([]Inst
 			code = append(code, mi)
 			// Fall through when the false target is the next block in
 			// layout order; otherwise emit an explicit jump.
-			if bi+1 >= len(f.Blocks) || f.Blocks[bi+1] != t.False {
+			if !fallsThrough(f, bi, t) {
 				fixups = append(fixups, branchFixup{pc: len(code), block: t.False.Index})
 				code = append(code, Inst{Op: OpJmp, LoadID: -1})
 			}
@@ -295,7 +331,7 @@ func (env *lowerEnv) lowerFunc(m *ir.Module, f *ir.Function, basePC int) ([]Inst
 	}
 	blocks := make([]BlockInfo, len(f.Blocks))
 	for bi, b := range f.Blocks {
-		end := len(code)
+		end := len(code) - start
 		if bi+1 < len(f.Blocks) {
 			end = blockPC[bi+1]
 		}

@@ -340,3 +340,52 @@ func TestInstStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestTextWrittenAtExactSize holds textLen to what lowerFunc emits, on a
+// module with every shape that emits more than one instruction: an
+// immediate ALU X, an NT load, and branches whose false edge does and does
+// not fall through. Lower and LowerVariant then return text whose capacity
+// is its length.
+func TestTextWrittenAtExactSize(t *testing.T) {
+	mb := ir.NewModuleBuilder("shapes")
+	mb.Global("buf", 1<<16)
+	f := mb.Function("f")
+	x := f.Bin(ir.Sub, ir.Imm(7), ir.Imm(2))
+	then, join := f.Block("then"), f.Block("join")
+	f.Branch(x, ir.Gt, ir.Imm(0), join, then) // false edge falls through
+	f.SetBlock(then)
+	f.Load(ir.Access{Global: "buf", Pattern: ir.Rand})
+	f.Jump(join)
+	f.SetBlock(join)
+	f.Return()
+	g := mb.Function("g")
+	g.Loop(4, func() { g.Load(ir.Access{Global: "buf", Pattern: ir.Seq}) }) // false edge jumps
+	g.Return()
+	main := mb.Function("main")
+	main.Call("f")
+	main.Call("g")
+	main.Return()
+	mb.SetEntry("main")
+	m := mb.MustBuild()
+	m.Func("f").Blocks[1].Instrs[0].(*ir.Load).NT = true
+
+	p, err := Lower(m, Config{Virtualize: multiBlock})
+	if err != nil {
+		t.Fatalf("Lower: %v", err)
+	}
+	for _, fi := range p.Funcs {
+		if want := textLen(m.Func(fi.Name)); fi.End-fi.Entry != want {
+			t.Errorf("%s: lowered %d instructions, textLen counts %d", fi.Name, fi.End-fi.Entry, want)
+		}
+	}
+	if cap(p.Code) != len(p.Code) {
+		t.Errorf("Lower: text capacity %d for %d instructions", cap(p.Code), len(p.Code))
+	}
+	vr, err := LowerVariant(p, m, "f", 1, len(p.Code))
+	if err != nil {
+		t.Fatalf("LowerVariant: %v", err)
+	}
+	if cap(vr.Code) != len(vr.Code) {
+		t.Errorf("LowerVariant: fragment capacity %d for %d instructions", cap(vr.Code), len(vr.Code))
+	}
+}

@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -359,6 +361,46 @@ func TestVariantInstallAndEVTDispatch(t *testing.T) {
 	m.RunQuanta(50)
 	if p.Counters().Sub(mid).Prefetches != 0 {
 		t.Error("original code still issuing prefetches after EVT revert")
+	}
+}
+
+// TestInstallLeavesSharedTextAlone attaches two processes to one binary
+// and installs a variant into one of them. The binary's text, the
+// sibling's code cursor and the sibling's execution must be those of a
+// process that never shared its text.
+func TestInstallLeavesSharedTextAlone(t *testing.T) {
+	run := func(owner, sibling *progbin.Binary) (*Process, *Process) {
+		m := New(Config{Cores: 2})
+		p, err := m.Attach(0, owner, ProcessConfig{Restart: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sib, err := m.Attach(1, sibling, ProcessConfig{Restart: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RunQuanta(5)
+		vr := installNTVariant(t, p)
+		p.EVT().SetTarget(p.EVT().SlotFor("hot"), vr.Info.Entry)
+		m.RunQuanta(50)
+		return p, sib
+	}
+	bin := compile(t, streamModule(t, "app", 1<<20), true)
+	text := slices.Clone(bin.Program.Code)
+	p, sib := run(bin, bin)
+	if !reflect.DeepEqual(bin.Program.Code, text) {
+		t.Error("installing a variant changed the binary's text")
+	}
+	if got := sib.CodeCursor(); got != len(text) {
+		t.Errorf("sibling's code cursor moved to %d, want %d", got, len(text))
+	}
+	if p.Counters().Prefetches == 0 {
+		t.Fatal("the NT variant never ran")
+	}
+	fresh := func() *progbin.Binary { return compile(t, streamModule(t, "app", 1<<20), true) }
+	_, ref := run(fresh(), fresh())
+	if sib.Counters() != ref.Counters() {
+		t.Errorf("sibling of an installed variant ran differently:\n  shared: %+v\n  own:    %+v", sib.Counters(), ref.Counters())
 	}
 }
 

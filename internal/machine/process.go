@@ -160,12 +160,16 @@ type Process struct {
 }
 
 func newProcess(m *Machine, core int, bin *progbin.Binary, opts ProcessConfig) (*Process, error) {
+	// The process runs the binary's text in place. Capping the slice at
+	// its length makes InstallVariant's first append copy it, so a variant
+	// never lands in a text other processes of the same binary share.
+	text := bin.Program.Code
 	p := &Process{
 		m:     m,
 		core:  core,
 		bin:   bin,
 		opts:  opts,
-		code:  append([]isa.Inst(nil), bin.Program.Code...),
+		code:  text[:len(text):len(text)],
 		funcs: append([]isa.FuncInfo(nil), bin.Program.Funcs...),
 		evt:   progbin.NewLiveEVT(bin.Program.EVT),
 		base:  uint64(core+1) << 40,
@@ -197,7 +201,17 @@ func newProcess(m *Machine, core int, bin *progbin.Binary, opts ProcessConfig) (
 func (p *Process) reset() {
 	p.pc = p.bin.Program.EntryPC
 	p.frames = p.frames[:0]
+	p.recycle(p.regs)
 	p.regs = p.newRegs()
+}
+
+// recycle returns a register file to the pool for the next frame. Only a
+// file of the current maximum size goes back: one sized before a variant
+// raised maxReg could be handed to a frame that needs the wider file.
+func (p *Process) recycle(r []int64) {
+	if len(r) == p.maxReg {
+		p.regPool = append(p.regPool, r)
+	}
 }
 
 func (p *Process) newRegs() []int64 {
@@ -358,8 +372,9 @@ func (p *Process) InstallVariant(vr *isa.VariantResult) error {
 	if vr.Info.MaxReg > p.maxReg {
 		p.maxReg = vr.Info.MaxReg
 		// Live register files may be smaller than the new maximum; they
-		// belong to functions with smaller MaxReg, so they stay valid. New
-		// frames allocate at the new size. Drop the pool of small slices.
+		// belong to functions with smaller MaxReg, so they stay valid, and
+		// recycle drops each one when its frame ends. New frames allocate
+		// at the new size. Drop the pool of small files.
 		p.regPool = nil
 	}
 	if p.dbtSeen != nil {
@@ -547,7 +562,7 @@ func (p *Process) ret() (completed bool) {
 	}
 	f := p.frames[len(p.frames)-1]
 	p.frames = p.frames[:len(p.frames)-1]
-	p.regPool = append(p.regPool, p.regs)
+	p.recycle(p.regs)
 	p.regs = f.regs
 	p.transfer(f.retPC, true)
 	return false

@@ -240,34 +240,93 @@ func TestProcessAccessors(t *testing.T) {
 	}
 }
 
+// TestInstallVariantGrowsRegisterFrames installs a variant that raises
+// maxReg, and uses its widest register first thing, while the original
+// callee is running. New frames must get the wider file; in particular
+// the callee's narrower file must not go back to the pool when it
+// returns, or the variant's next frame would index past its end.
 func TestInstallVariantGrowsRegisterFrames(t *testing.T) {
-	// A variant with a larger register demand than any original function
-	// must invalidate the frame pool so new frames fit.
-	bin := compile(t, streamModule(t, "app", 1<<16), true)
-	m := New(Config{Cores: 1})
-	p, _ := m.Attach(0, bin, ProcessConfig{Restart: true})
-	m.RunQuanta(5)
+	for _, eng := range []string{EngineInterp, EngineSuperblock} {
+		t.Run(eng, func(t *testing.T) {
+			bin := compile(t, streamModule(t, "app", 1<<16), true)
+			m := New(Config{Cores: 1, Engine: eng})
+			p, err := m.Attach(0, bin, ProcessConfig{Restart: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.RunQuanta(5)
 
-	emb, err := bin.DecodeIR()
-	if err != nil {
-		t.Fatal(err)
+			emb, err := bin.DecodeIR()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hot := emb.Func("hot")
+			wide := ir.Reg(p.maxReg + 63)
+			hot.MaxReg = int(wide) + 1
+			entry := hot.Blocks[0]
+			entry.Instrs = append([]ir.Instr{&ir.Const{Dst: wide, Value: 1}}, entry.Instrs...)
+			vr, err := isa.LowerVariant(bin.Program, emb, "hot", 1, p.CodeCursor())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.InstallVariant(vr); err != nil {
+				t.Fatal(err)
+			}
+			if p.maxReg != hot.MaxReg {
+				t.Errorf("maxReg %d not grown to %d", p.maxReg, hot.MaxReg)
+			}
+			p.EVT().SetTarget(p.EVT().SlotFor("hot"), vr.Info.Entry)
+			before := p.Counters()
+			m.RunQuanta(50)
+			if p.Counters().Sub(before).Insts == 0 {
+				t.Error("no progress after installing the wider variant")
+			}
+		})
 	}
-	// Inflate the clone's register count artificially.
-	emb.Func("hot").MaxReg = p.maxReg + 32
-	vr, err := isa.LowerVariant(bin.Program, emb, "hot", 1, p.CodeCursor())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestWarmQuantaAllocateNothing runs a short protean module as a restarting
+// job beside a gated copy of it: once warm, neither a completion nor a
+// granted request allocates, under either engine.
+func TestWarmQuantaAllocateNothing(t *testing.T) {
+	mb := ir.NewModuleBuilder("small")
+	mb.Global("buf", 1<<14)
+	hot := mb.Function("hot")
+	hot.Loop(10, func() {
+		hot.Load(ir.Access{Global: "buf", Pattern: ir.Seq, Stride: 64})
+	})
+	hot.Return()
+	main := mb.Function("main")
+	for range 4 {
+		main.Call("hot")
 	}
-	if err := p.InstallVariant(vr); err != nil {
-		t.Fatal(err)
-	}
-	if p.maxReg < vr.Info.MaxReg {
-		t.Errorf("maxReg %d not grown to %d", p.maxReg, vr.Info.MaxReg)
-	}
-	p.EVT().SetTarget(p.EVT().SlotFor("hot"), vr.Info.Entry)
-	m.RunQuanta(50) // must not panic on register access
-	if p.Counters().Insts == 0 {
-		t.Error("no progress after variant with larger frames")
+	main.Return()
+	mb.SetEntry("main")
+	bin := compile(t, mb.MustBuild(), true)
+	for _, eng := range []string{EngineInterp, EngineSuperblock} {
+		m := New(Config{Cores: 2, Engine: eng})
+		job, err := m.Attach(0, bin, ProcessConfig{Restart: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := m.Attach(1, bin, ProcessConfig{Gated: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			server.GrantWork(3)
+			m.RunQuanta(4)
+		}
+		for range 5 {
+			step() // 20 warm-up quanta
+		}
+		jobBefore, serverBefore := job.Counters(), server.Counters()
+		if n := testing.AllocsPerRun(20, step); n != 0 {
+			t.Errorf("%s: %v allocations per 4 warm quanta", eng, n)
+		}
+		if job.Counters().Sub(jobBefore).Completions == 0 || server.Counters().Sub(serverBefore).Completions == 0 {
+			t.Errorf("%s: measured quanta completed no work", eng)
+		}
 	}
 }
 

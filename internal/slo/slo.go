@@ -49,7 +49,7 @@ type Spec struct {
 	// Good and Total are tsdb series names of cumulative counters.
 	Good  string
 	Total string
-	// Objective is the target good/total ratio (0,1); the error budget is
+	// Objective is the target good/total ratio in (0, 1]; the error budget is
 	// 1 − Objective.
 	Objective float64
 	Rules     []BurnRule

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/progbin"
 )
 
 func TestCatalogBuildsAndCompiles(t *testing.T) {
@@ -25,8 +26,16 @@ func TestCatalogBuildsAndCompiles(t *testing.T) {
 			if !bin.Protean || !bin.HasIR() {
 				t.Error("protean compile lacks metadata")
 			}
-			if _, err := s.CompilePlain(); err != nil {
+			plain, err := s.CompilePlain()
+			if err != nil {
 				t.Fatalf("CompilePlain: %v", err)
+			}
+			// isa.Lower writes each text once, into an array of exactly
+			// its length.
+			for _, b := range []*progbin.Binary{bin, plain} {
+				if code := b.Program.Code; cap(code) != len(code) {
+					t.Errorf("protean %v: text capacity %d for %d instructions", b.Protean, cap(code), len(code))
+				}
 			}
 			// Embedded IR round-trips.
 			emb, err := bin.DecodeIR()
