@@ -222,8 +222,8 @@ func (v *vetter) vetModule(name string, m *ir.Module) {
 // binary is protean.
 func (v *vetter) vetBinary(name string, b *progbin.Binary) {
 	diags := isa.LintProgram(b.Program)
-	if len(b.IRBlob) > 0 {
-		m, err := ir.DecodeBytes(b.IRBlob)
+	if b.HasIR() {
+		m, err := b.DecodeIR()
 		if err != nil {
 			diags = append(diags, ir.Diag{
 				Sev:  ir.SevError,

@@ -152,8 +152,9 @@ type Runtime struct {
 }
 
 // New creates a runtime for cfg.Host on cfg.Machine: it discovers the
-// program metadata (decoding the embedded IR) and prepares the code cache
-// bookkeeping — the runtime-initialization step of Section III-B-1.
+// program metadata (the binary's embedded IR, decoded once per binary and
+// shared read-only) and prepares the code cache bookkeeping — the
+// runtime-initialization step of Section III-B-1.
 func New(cfg Config) (*Runtime, error) {
 	m, host := cfg.Machine, cfg.Host
 	if m == nil || host == nil {
@@ -162,7 +163,7 @@ func New(cfg Config) (*Runtime, error) {
 	if !host.Binary().Protean {
 		return nil, ErrNotProtean
 	}
-	baseIR, err := host.Binary().DecodeIR()
+	baseIR, err := host.Binary().IR()
 	if err != nil {
 		return nil, fmt.Errorf("core: attach to %q: %w", host.Name(), err)
 	}
@@ -194,8 +195,9 @@ func New(cfg Config) (*Runtime, error) {
 // Host returns the attached process.
 func (rt *Runtime) Host() *machine.Process { return rt.host }
 
-// IR returns the decoded embedded IR. Callers must not mutate it; variant
-// transforms receive clones.
+// IR returns the decoded embedded IR, shared with every runtime attached to
+// the same binary. Callers must not mutate it; variant transforms receive
+// clones.
 func (rt *Runtime) IR() *ir.Module { return rt.baseIR }
 
 // Sampler exposes the host PC sampler for policies.

@@ -279,11 +279,20 @@ func (c Config) validate() error {
 			return fmt.Errorf("fleet: %s = %v, want a finite duration of at least %v s", d.name, d.v, d.min)
 		}
 	}
-	if _, ok := workload.ByName(c.Webservice); !ok {
+	known := make(map[string]bool)
+	for _, s := range workload.Catalog() {
+		known[s.Name] = true
+	}
+	if !known[c.Webservice] {
 		return fmt.Errorf("fleet: unknown webservice %q", c.Webservice)
 	}
 	if len(c.Mix.Apps) == 0 && c.Instances > 0 {
 		return fmt.Errorf("fleet: mix %q has no apps", c.Mix.Name)
+	}
+	for _, a := range c.Mix.Apps {
+		if !known[a] {
+			return fmt.Errorf("fleet: unknown app %q in mix %q", a, c.Mix.Name)
+		}
 	}
 	return nil
 }
@@ -723,10 +732,14 @@ func (f *Fleet) runEpochs(sims []*serverSim, plan *chaosPlan) error {
 
 // calibrate measures solo rates, contentiousness and webservice capacity
 // for every distinct app, in parallel; all downstream reads are immutable.
+// Every app in the batch roster gets its protean binary under PC3D, the
+// webservice's own name included.
 func (f *Fleet) calibrate(apps []string) error {
 	distinct := []string{f.cfg.Webservice}
 	seen := map[string]bool{f.cfg.Webservice: true}
+	batch := make(map[string]bool, len(apps))
 	for _, a := range apps {
+		batch[a] = true
 		if !seen[a] {
 			seen[a] = true
 			distinct = append(distinct, a)
@@ -742,17 +755,13 @@ func (f *Fleet) calibrate(apps []string) error {
 	var mu sync.Mutex
 	err := f.forEach(len(distinct), func(i int) error {
 		name := distinct[i]
-		spec, ok := workload.ByName(name)
-		if !ok {
-			return fmt.Errorf("fleet: unknown app %q", name)
-		}
-		plain, err := spec.CompilePlain()
+		plain, err := workload.Binary(name, false)
 		if err != nil {
 			return err
 		}
 		var prot *progbin.Binary
-		if f.cfg.System == SystemPC3D && name != f.cfg.Webservice {
-			if prot, err = spec.CompileProtean(); err != nil {
+		if f.cfg.System == SystemPC3D && batch[name] {
+			if prot, err = workload.Binary(name, true); err != nil {
 				return err
 			}
 		}

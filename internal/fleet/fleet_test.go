@@ -156,6 +156,7 @@ func TestConfigValidation(t *testing.T) {
 		{"more instances than servers", func(c *Config) { c.Instances = 3 }, "exceed"},
 		{"negative instances", func(c *Config) { c.Instances = -1 }, "negative"},
 		{"unknown webservice", func(c *Config) { c.Webservice = "no-such-app" }, "unknown webservice"},
+		{"unknown mix app", func(c *Config) { c.Mix.Apps = []string{"milc", "no-such-app"} }, "unknown app"},
 		{"target above one", func(c *Config) { c.Target = 1.5 }, "target"},
 		{"negative target", func(c *Config) { c.Target = -0.5 }, "target"},
 		{"NaN target", func(c *Config) { c.Target = nan }, "target"},
@@ -185,6 +186,27 @@ func TestConfigValidation(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestWebserviceAlsoInMix runs a PC3D fleet whose webservice is also a
+// batch app of its mix: the batch instance of that app still attaches its
+// protean binary, so the runtime has IR to search.
+func TestWebserviceAlsoInMix(t *testing.T) {
+	mix, _ := datacenter.MixByName("WL2")
+	f, err := New(Config{
+		Servers: 2, Webservice: "soplex", Mix: mix, System: SystemPC3D,
+		Seed: 1, Workers: 1, SoloSeconds: 0.1, SettleSeconds: 0.1, MeasureSeconds: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PerApp["soplex"] <= 0 {
+		t.Errorf("soplex batch utilization %v, want > 0", m.PerApp["soplex"])
 	}
 }
 

@@ -42,7 +42,7 @@ func mustAttach(t *testing.T, cores int, bins ...*progbin.Binary) (*machine.Mach
 
 func mustBinary(t *testing.T, name string, protean bool) *progbin.Binary {
 	t.Helper()
-	b, err := shared.binary(name, protean)
+	b, err := workload.Binary(name, protean)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func (r *Runner) Figure3() (*Table, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		eb, err := r.binary("er-naive", false)
+		eb, err := workload.Binary("er-naive", false)
 		if err != nil {
 			return nil, 0, err
 		}

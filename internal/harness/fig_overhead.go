@@ -7,6 +7,7 @@ import (
 	"repro/internal/dbt"
 	"repro/internal/machine"
 	"repro/internal/progbin"
+	"repro/internal/workload"
 )
 
 // aloneRun is one Figure 4–6 configuration of an app running alone.
@@ -43,11 +44,11 @@ func (r *Runner) runAlone(bin *progbin.Binary, v aloneRun) (uint64, error) {
 // slowdowns runs app natively and once per variant, returning each
 // variant's slowdown versus native (1.0 = free).
 func (r *Runner) slowdowns(app string, variants ...aloneRun) ([]float64, error) {
-	plain, err := r.binary(app, false)
+	plain, err := workload.Binary(app, false)
 	if err != nil {
 		return nil, err
 	}
-	prot, err := r.binary(app, true)
+	prot, err := workload.Binary(app, true)
 	if err != nil {
 		return nil, err
 	}

@@ -127,7 +127,7 @@ func (r *Runner) Figure8() (*Table, error) {
 	profs := make([]*sampling.DeepProfile, len(hosts))
 	siteBlock := make([]map[int]string, len(hosts))
 	err := r.forEach(len(hosts), func(i int) error {
-		bin, err := r.binary(hosts[i], true)
+		bin, err := workload.Binary(hosts[i], true)
 		if err != nil {
 			return err
 		}
@@ -138,7 +138,7 @@ func (r *Runner) Figure8() (*Table, error) {
 		sampler := sampling.NewPCSampler(ps[0], m.Config().QuantumCycles)
 		m.AddAgent(sampler)
 		m.RunSeconds(1)
-		emb, err := bin.DecodeIR()
+		emb, err := bin.IR()
 		if err != nil {
 			return err
 		}

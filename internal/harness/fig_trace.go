@@ -8,6 +8,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sampling"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // traceSample is one point of the Figure 16 time series.
@@ -50,11 +51,11 @@ func (r *Runner) runTrace(system System) (traceRun, error) {
 	if err != nil {
 		return traceRun{}, err
 	}
-	wsBin, err := r.binary(wsName, false)
+	wsBin, err := workload.Binary(wsName, false)
 	if err != nil {
 		return traceRun{}, err
 	}
-	hb, err := r.binary(hostName, system == SystemPC3D)
+	hb, err := workload.Binary(hostName, system == SystemPC3D)
 	if err != nil {
 		return traceRun{}, err
 	}

@@ -3,10 +3,11 @@
 // experiments behind every table and figure, and renders the same rows and
 // series the paper reports.
 //
-// All experiments run through a Runner, which memoizes compiled binaries,
-// solo-rate calibrations, pair results and the Figure 16 trace runs so
-// figures that share underlying runs (e.g. Figures 9–14, Figures 15 and
-// 17, or Figure 16 and its timeline and span views) measure once. Every
+// All experiments run through a Runner, which memoizes solo-rate
+// calibrations, pair results and the Figure 16 trace runs so figures that
+// share underlying runs (e.g. Figures 9–14, Figures 15 and 17, or Figure 16
+// and its timeline and span views) measure once; every Runner in a process
+// shares the catalog binaries workload.Binary compiles once. Every
 // co-located server is the same fleet.AttachStack a fleet server runs, and
 // every steady-state number is read through one window. A Scale selects
 // experiment durations: FullScale approximates the paper's coverage;
@@ -187,11 +188,6 @@ type pairKey struct {
 	target    float64
 }
 
-type binKey struct {
-	name    string
-	protean bool
-}
-
 // cell is one memo slot: the first caller runs the experiment inside the
 // sync.Once while latecomers for the same key block on it, so concurrent
 // figure drivers measure each key exactly once.
@@ -223,12 +219,12 @@ func (mm *memo[K, V]) get(k K, f func() (V, error)) (V, error) {
 	return c.val, c.err
 }
 
-// Runner executes experiments with single-flight memoization; it is safe
-// for concurrent use.
+// Runner executes experiments with single-flight memoization of its
+// measurements; it is safe for concurrent use. It holds no binaries: every
+// run attaches the shared, read-only workload.Binary.
 type Runner struct {
 	sc Scale
 
-	bins   memo[binKey, *progbin.Binary]
 	solo   memo[string, SoloRates]
 	pairs  memo[pairKey, PairResult]
 	traces memo[System, traceRun]
@@ -243,20 +239,6 @@ func NewRunner(sc Scale) *Runner { return &Runner{sc: sc} }
 
 // Scale returns the runner's scale.
 func (r *Runner) Scale() Scale { return r.sc }
-
-// binary compiles (and caches) an app in plain or protean mode.
-func (r *Runner) binary(name string, protean bool) (*progbin.Binary, error) {
-	return r.bins.get(binKey{name, protean}, func() (*progbin.Binary, error) {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown app %q", name)
-		}
-		if protean {
-			return spec.CompileProtean()
-		}
-		return spec.CompilePlain()
-	})
-}
 
 // attach builds a fresh machine on the scale's engine and attaches bins to
 // cores 0, 1, … as restarting processes.
@@ -297,7 +279,7 @@ func (r *Runner) Solo(name string) (SoloRates, error) {
 	}
 	return r.solo.get(name, func() (SoloRates, error) {
 		r.soloRuns.Add(1)
-		bin, err := r.binary(name, false)
+		bin, err := workload.Binary(name, false)
 		if err != nil {
 			return SoloRates{}, err
 		}
@@ -341,11 +323,11 @@ func (r *Runner) runPair(host, ext string, system System, target float64) (PairR
 	if err != nil {
 		return PairResult{}, err
 	}
-	eb, err := r.binary(ext, false)
+	eb, err := workload.Binary(ext, false)
 	if err != nil {
 		return PairResult{}, err
 	}
-	hb, err := r.binary(host, system == SystemPC3D)
+	hb, err := workload.Binary(host, system == SystemPC3D)
 	if err != nil {
 		return PairResult{}, err
 	}

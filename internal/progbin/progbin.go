@@ -7,6 +7,10 @@
 // the data region". A binary compiled without the protean pass carries
 // neither and runs identically — the paper's "can be run without the
 // runtime system" property.
+//
+// The embedded IR has two readers. IR decodes it once per binary and
+// shares that module read-only, as a runtime attaching to the binary does;
+// DecodeIR returns a fresh module for a caller that transforms it.
 package progbin
 
 import (
@@ -15,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -36,6 +41,11 @@ type Binary struct {
 	Protean bool
 	// IRBlob is the compressed serialized IR (empty for plain binaries).
 	IRBlob []byte
+
+	// irOnce guards the shared module IR decodes; WriteTo skips it.
+	irOnce sync.Once
+	irMod  *ir.Module
+	irErr  error
 }
 
 // HasIR reports whether the binary embeds its IR.
@@ -48,6 +58,15 @@ func (b *Binary) DecodeIR() (*ir.Module, error) {
 		return nil, ErrNotProtean
 	}
 	return ir.DecodeBytes(b.IRBlob)
+}
+
+// IR returns the embedded IR, decoded on the first call and shared by every
+// later one, so the binary is decoded once however many runtimes attach to
+// it. The module is read-only: a caller that transforms it clones it first
+// or takes DecodeIR's fresh copy.
+func (b *Binary) IR() (*ir.Module, error) {
+	b.irOnce.Do(func() { b.irMod, b.irErr = b.DecodeIR() })
+	return b.irMod, b.irErr
 }
 
 // WriteTo serializes the binary.

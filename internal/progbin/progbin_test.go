@@ -93,6 +93,25 @@ func TestDecodeIR(t *testing.T) {
 	}
 }
 
+// IR decodes once: every call returns the same module, distinct from the
+// fresh ones DecodeIR hands out.
+func TestIRShared(t *testing.T) {
+	b := sampleBinary(t, true)
+	m, err := b.IR()
+	if err != nil {
+		t.Fatalf("IR: %v", err)
+	}
+	if again, _ := b.IR(); again != m {
+		t.Error("IR returned a different module on the second call")
+	}
+	if fresh, _ := b.DecodeIR(); fresh == m {
+		t.Error("DecodeIR returned the shared module")
+	}
+	if m.Name != "sample" || m.Func("work") == nil {
+		t.Errorf("shared IR wrong: %q", m.Name)
+	}
+}
+
 func TestPlainBinaryHasNoIR(t *testing.T) {
 	b := sampleBinary(t, false)
 	if b.HasIR() {
@@ -100,6 +119,9 @@ func TestPlainBinaryHasNoIR(t *testing.T) {
 	}
 	if _, err := b.DecodeIR(); !errors.Is(err, ErrNotProtean) {
 		t.Errorf("DecodeIR error = %v, want ErrNotProtean", err)
+	}
+	if _, err := b.IR(); !errors.Is(err, ErrNotProtean) {
+		t.Errorf("IR error = %v, want ErrNotProtean", err)
 	}
 }
 
@@ -178,8 +200,9 @@ func TestLiveEVTConcurrent(t *testing.T) {
 
 // FuzzDecodeBytes feeds hostile bytes through everything a loader does
 // with a binary from outside the process: decode the container, verify the
-// program, decode the embedded IR. Each step must reject bad input with an
-// error, never a panic.
+// program, decode the embedded IR through both DecodeIR and IR. Each step
+// must reject bad input with an error, never a panic, and the two IR entry
+// points must agree on whether the blob decodes.
 func FuzzDecodeBytes(f *testing.F) {
 	for _, protean := range []bool{false, true} {
 		data, err := sampleBinary(f, protean).EncodeBytes()
@@ -196,6 +219,9 @@ func FuzzDecodeBytes(f *testing.F) {
 		if err := isa.VerifyProgram(b.Program); err != nil {
 			return
 		}
-		_, _ = b.DecodeIR() // only a panic fails the target
+		_, err = b.DecodeIR()
+		if _, serr := b.IR(); (err == nil) != (serr == nil) {
+			t.Fatalf("DecodeIR error %v, IR error %v", err, serr)
+		}
 	})
 }

@@ -23,6 +23,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -68,14 +69,48 @@ type Spec struct {
 // Module builds a fresh IR module for the app.
 func (s Spec) Module() *ir.Module { return Build(s.Config) }
 
-// CompileProtean compiles the app with the protean pass.
+// CompileProtean compiles the app with the protean pass. Each call returns
+// a fresh binary; Binary shares one per process.
 func (s Spec) CompileProtean() (*progbin.Binary, error) {
 	return pcc.Compile(s.Module(), pcc.Options{Protean: true})
 }
 
-// CompilePlain compiles the app without protean metadata.
+// CompilePlain compiles the app without protean metadata. Each call
+// returns a fresh binary.
 func (s Spec) CompilePlain() (*progbin.Binary, error) {
 	return pcc.Compile(s.Module(), pcc.Options{})
+}
+
+// compiledApp holds one catalog app's two binaries, each compiled on first
+// use.
+type compiledApp struct {
+	plain, protean func() (*progbin.Binary, error)
+}
+
+var compiledApps = sync.OnceValue(func() map[string]compiledApp {
+	apps := make(map[string]compiledApp)
+	for _, s := range Catalog() {
+		apps[s.Name] = compiledApp{
+			plain:   sync.OnceValues(s.CompilePlain),
+			protean: sync.OnceValues(s.CompileProtean),
+		}
+	}
+	return apps
+})
+
+// Binary returns the named catalog app's plain or protean binary, compiled
+// at most once per process and shared by every caller, as a binary is
+// compiled once and shipped to every machine that runs it. Callers must not
+// mutate it; an unknown name is an error.
+func Binary(name string, protean bool) (*progbin.Binary, error) {
+	app, ok := compiledApps()[name]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown app %q", name)
+	}
+	if protean {
+		return app.protean()
+	}
+	return app.plain()
 }
 
 // ProcessConfig returns the canonical machine options for the class:

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
@@ -92,6 +94,58 @@ func TestByNameUnknown(t *testing.T) {
 		}
 	}()
 	MustByName("nope")
+}
+
+// TestBinaryShared holds Binary to one compile per (app, mode), and a
+// protean binary's IR to one decode, however many goroutines ask at once
+// (run with -race), and Binary to an error, not a panic, for an unknown
+// app.
+func TestBinaryShared(t *testing.T) {
+	apps := []string{"bst", "libquantum", "web-search"}
+	const workers = 8
+	bins := make([][]*progbin.Binary, workers)
+	mods := make([][]*ir.Module, workers)
+	var wg sync.WaitGroup
+	for w := range bins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, a := range apps {
+				for _, protean := range []bool{false, true} {
+					b, err := Binary(a, protean)
+					if err != nil {
+						t.Errorf("Binary(%q, %v): %v", a, protean, err)
+						return
+					}
+					bins[w] = append(bins[w], b)
+					if protean {
+						m, err := b.IR()
+						if err != nil {
+							t.Errorf("%s: IR: %v", a, err)
+						}
+						mods[w] = append(mods[w], m)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := 1; w < workers; w++ {
+		if !slices.Equal(bins[w], bins[0]) || !slices.Equal(mods[w], mods[0]) {
+			t.Errorf("goroutine %d saw a second compile or decode", w)
+		}
+	}
+	for i, b := range bins[0] {
+		if b == nil || b.Protean != (i%2 == 1) {
+			t.Errorf("binary %d: %+v, want protean = %v", i, b, i%2 == 1)
+		}
+	}
+	if _, err := Binary("nope", true); err == nil {
+		t.Error("Binary accepted an unknown app")
+	}
 }
 
 func TestNamesSorted(t *testing.T) {
